@@ -8,10 +8,12 @@ inverse-transform sampling from a caller-supplied uniform stream.
 
 A stream is any object with a ``next_uniform() -> float in (0, 1)``
 method; :class:`levelcross.sim.LcgStream` is the deterministic one used
-throughout.
+throughout.  ``draw_kernel()`` exposes the unchecked transform behind
+``sample()``, so the simulator can draw without a stream object.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import MomentUndefinedError, SpecParseError
@@ -26,7 +28,7 @@ __all__ = [
     "parse_spec",
 ]
 
-# fixed iteration counts keep the numeric quantiles bit-exactly reproducible
+# fixed iteration caps keep the numeric quantiles bit-exactly reproducible
 _BISECT_STEPS = 90
 
 
@@ -55,7 +57,20 @@ class Distribution:
         raise NotImplementedError
 
     def quantile(self, u: float) -> float:
+        """Inverse distribution function; requires u in (0, 1)."""
+        if not 0.0 < u < 1.0:
+            raise ValueError(f"quantile requires u in (0, 1), got {u!r}")
+        return self._inverse(u)
+
+    def _inverse(self, u: float) -> float:
+        """The quantile without its argument check."""
         raise NotImplementedError
+
+    def draw_kernel(self) -> tuple[Callable[[float], float], int]:
+        """``(transform, n)``: one ``sample()`` is the sum, in draw order,
+        of ``transform(u)`` over ``n`` fresh uniforms.  ``transform`` skips
+        the argument check, so it must only see uniforms in (0, 1)."""
+        return self._inverse, 1
 
     def moments(self) -> MomentSet:
         raise NotImplementedError
@@ -66,10 +81,6 @@ class Distribution:
     def sample(self, stream) -> float:
         """Inverse-transform draw consuming exactly one uniform."""
         return self.quantile(stream.next_uniform())
-
-    def _check_quantile_arg(self, u: float) -> None:
-        if not 0.0 < u < 1.0:
-            raise ValueError(f"quantile requires u in (0, 1), got {u!r}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,7 @@ class Exponential(Distribution):
             return 0.0
         return -math.expm1(-self.rate * x)
 
-    def quantile(self, u: float) -> float:
-        self._check_quantile_arg(u)
+    def _inverse(self, u: float) -> float:
         return -math.log1p(-u) / self.rate
 
     def moments(self) -> MomentSet:
@@ -132,8 +142,7 @@ class Mix2Exp(Distribution):
             return 0.0
         return 1.0 - (self.p * math.exp(-self.rate1 * x) + self.q * math.exp(-self.rate2 * x))
 
-    def quantile(self, u: float) -> float:
-        self._check_quantile_arg(u)
+    def _inverse(self, u: float) -> float:
         p, q = self.p, self.q
         if q == 0.0:
             return -math.log1p(-u) / self.rate1
@@ -142,15 +151,25 @@ class Mix2Exp(Distribution):
             # form stays stable as q -> 0
             w = 2.0 * (1.0 - u) / (p + math.sqrt(p * p + 4.0 * q * (1.0 - u)))
             return -math.log(w) / self.rate1
-        # general rates: bisection on the cdf; the rate1 exponential
-        # stochastically dominates the mixture, so its quantile brackets ours
+        # general rates: bisection on the cdf (inlined: same expression as
+        # cdf()); the rate1 exponential stochastically dominates the
+        # mixture, so its quantile brackets ours.  An iteration that leaves
+        # (lo, hi) unchanged has reached a fixed point of the update, so
+        # stopping there returns exactly what all _BISECT_STEPS would.
+        exp = math.exp
+        rate1, rate2 = self.rate1, self.rate2
         lo = 0.0
-        hi = -math.log1p(-u) / self.rate1
+        hi = -math.log1p(-u) / rate1
         for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < u:
+            cdf = 0.0 if mid <= 0.0 else 1.0 - (p * exp(-rate1 * mid) + q * exp(-rate2 * mid))
+            if cdf < u:
+                if lo == mid:
+                    break
                 lo = mid
             else:
+                if hi == mid:
+                    break
                 hi = mid
         return 0.5 * (lo + hi)
 
@@ -201,8 +220,7 @@ class Erlang(Distribution):
             tail += math.exp(j * log_rx - math.lgamma(j + 1) - rx)
         return 1.0 - tail
 
-    def quantile(self, u: float) -> float:
-        self._check_quantile_arg(u)
+    def _inverse(self, u: float) -> float:
         if self.shape == 1:
             return -math.log1p(-u) / self.rate
         lo, hi = 0.0, self.shape / self.rate
@@ -220,13 +238,17 @@ class Erlang(Distribution):
         k, r = self.shape, self.rate
         return MomentSet(k / r, k / r**2, 2.0 * k / r**3)
 
+    def draw_kernel(self) -> tuple[Callable[[float], float], int]:
+        return Exponential(self.rate)._inverse, self.shape
+
     def sample(self, stream) -> float:
         # sum of `shape` exponential draws, consuming exactly `shape`
         # uniforms; summed draw-by-draw so the result is bit-identical to
         # adding `shape` Exponential samples from the same stream
+        transform, n = self.draw_kernel()
         total = 0.0
-        for _ in range(self.shape):
-            total += -math.log1p(-stream.next_uniform()) / self.rate
+        for _ in range(n):
+            total += transform(stream.next_uniform())
         return total
 
     def spec_string(self) -> str:
@@ -257,9 +279,8 @@ class Pareto(Distribution):
             return 0.0
         return -math.expm1(-self.shape * math.log1p(x * self.scale))
 
-    def quantile(self, u: float) -> float:
+    def _inverse(self, u: float) -> float:
         # ((1-u)^(-1/a) - 1)/b, written to survive u -> 1 without cancellation
-        self._check_quantile_arg(u)
         return math.expm1(-math.log1p(-u) / self.shape) / self.scale
 
     def moments(self) -> MomentSet:

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .distributions import Distribution
+from .errors import MomentUndefinedError
 from .moments import constants_for
 
 __all__ = [
@@ -173,18 +174,49 @@ def first_crossing_time(
     (which may be v itself if the first jump already crosses), or None if
     no crossing occurs by the horizon.  Between renewals the path only
     drifts down, so crossings happen at renewal epochs only.
+
+    Draws the same uniforms in the same order, and computes the same
+    floats, as calling ``y_dist.sample(stream)`` for each jump and
+    ``t_dist.sample(stream)`` for each gap; ``stream.state`` and
+    ``stream.draws`` advance exactly as they would.  The generator steps
+    inline on a local integer state, and each uniform costs one call of
+    its law's ``draw_kernel()`` transform.
     """
+    t_draw, t_uniforms = t_dist.draw_kernel()
+    y_draw, y_uniforms = y_dist.draw_kernel()
+    t_more, y_more = range(t_uniforms - 1), range(y_uniforms - 1)
+    a, b, mask, scale = LCG_MULTIPLIER, LCG_INCREMENT, _MASK32, _INV_MODULUS
+    x = stream.state
     s = v
-    total = y_dist.sample(stream)
-    if total - c * s > u:
-        return s
+    total = 0.0
+    jumps = 0
+    # each `x = ... or b` is next_uniform's step: a zero state is skipped
+    # by stepping again, and lcg_next(0) == b
     while True:
-        s += t_dist.sample(stream)
-        if s > horizon:
-            return None
-        total += y_dist.sample(stream)
+        x = (a * x + b) & mask or b
+        jump = y_draw(x * scale)
+        for _ in y_more:
+            x = (a * x + b) & mask or b
+            jump += y_draw(x * scale)
+        total += jump
+        jumps += 1
         if total - c * s > u:
-            return s
+            tau = s
+            gaps = jumps - 1
+            break
+        x = (a * x + b) & mask or b
+        gap = t_draw(x * scale)
+        for _ in t_more:
+            x = (a * x + b) & mask or b
+            gap += t_draw(x * scale)
+        s += gap
+        if s > horizon:
+            tau = None
+            gaps = jumps
+            break
+    stream.state = x
+    stream.draws += jumps * y_uniforms + gaps * t_uniforms
+    return tau
 
 
 def simulate_conditional(
@@ -244,15 +276,15 @@ def sweep_c(
     """
     try:
         c_star = constants_for(t_dist, y_dist).c_star
-        if not grid.c_min <= c_star <= grid.c_max:
-            warnings.warn(
-                f"critical rate c* = {c_star:g} lies outside the sweep grid "
-                f"[{grid.c_min:g}, {grid.c_max:g}]",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    except Exception:
-        pass  # moment-poor laws can still be simulated
+    except MomentUndefinedError:
+        c_star = None  # moment-poor laws can still be simulated
+    if c_star is not None and not grid.c_min <= c_star <= grid.c_max:
+        warnings.warn(
+            f"critical rate c* = {c_star:g} lies outside the sweep grid "
+            f"[{grid.c_min:g}, {grid.c_max:g}]",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     out = []
     for i, c in enumerate(grid.nodes()):
         node_seed = substream_seed(master_seed, i)

@@ -31,6 +31,7 @@ derived below in exact rational arithmetic from textbook raw moments.
 """
 
 import functools
+import hashlib
 import math
 import random
 import time
@@ -44,7 +45,7 @@ from levelcross.cli import main as cli_main
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional, series_oracle
 from levelcross.moments import constants_for, model_constants_lemma
-from levelcross.sim import DEFAULT_SEED, SweepGrid, substream_seed, sweep_c
+from levelcross.sim import DEFAULT_SEED, LcgStream, SweepGrid, substream_seed, sweep_c
 
 UNIT = ExpExpModel(1.0, 1.0)
 EXP_K = constants_for(Exponential(1.0), Exponential(1.0))
@@ -299,6 +300,9 @@ def test_criterion_7_corrected_below_exact():
 # --------------------------------------------------------------------------
 # 8. byte-identical output for identical configuration
 
+# sha256 of the figure-1 CSV (the README command) at the default seed
+FIG1_CSV_SHA256 = "a227c0dc3427153b25c266ca91569484f75b325d8b986da54389282e63c910cb"
+
 
 @criterion(8, "byte-identical sweeps", 120.0)
 def test_criterion_8_determinism(tmp_path, capsys):
@@ -313,6 +317,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_text().strip().split("\n")) == 41  # header + 40 nodes
+    assert hashlib.sha256(p1.read_bytes()).hexdigest() == FIG1_CSV_SHA256
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +333,87 @@ def test_criterion_9_robustness():
         assert 0.0 <= val <= 1.0 + 1e-12
 
 
-# substream derivation is part of the reproducibility contract: freeze it
+# --------------------------------------------------------------------------
+# reproducibility contract as literal values: a change to any of them is a
+# change of the contract, never a test to update silently
+
+
 def test_substream_seed_frozen_values():
-    assert substream_seed(DEFAULT_SEED, 0) == substream_seed(DEFAULT_SEED, 0)
-    assert substream_seed(DEFAULT_SEED, 0) != substream_seed(DEFAULT_SEED, 1)
+    assert [substream_seed(DEFAULT_SEED, i) for i in range(5)] == [
+        161022537, 755937386, 2824089360, 4011217437, 4120613621,
+    ]
+
+
+def test_lcg_states_frozen_values():
+    stream = LcgStream(DEFAULT_SEED)
+    states = []
+    for _ in range(8):
+        stream.next_uniform()
+        states.append(stream.state)
+    assert states == [
+        795895106, 3063643411, 3180207416, 1320180801,
+        2955465726, 3086869119, 4290510612, 7779149,
+    ]
+
+
+# first 16 sample() values from LcgStream(DEFAULT_SEED), as float.hex; the
+# two Mix2Exp laws cover the closed-form (rate2 = 2 rate1) and bisection
+# quantiles
+SAMPLE_GOLDENS = [
+    ("exp:1", Exponential(1.0), [
+        "0x1.a3bac764a2611p-3", "0x1.3fd5aa45f3056p+0",
+        "0x1.594b476037bdcp+0", "0x1.7816109dabfc5p-2",
+        "0x1.2a4708227d5ffp+0", "0x1.44b5a344dcb90p+0",
+        "0x1.b7bb17b6eda94p+2", "0x1.db3b69a3b9997p-10",
+        "0x1.6890538b26840p-1", "0x1.aa066ed3ea891p-1",
+        "0x1.7af74e409ec3ap-5", "0x1.561a8500d05f6p-2",
+        "0x1.c23800b974be2p-3", "0x1.3ee550e485064p-4",
+        "0x1.65ef9941a3578p-2", "0x1.b62b2549ff601p-2",
+    ]),
+    ("erlang:1.2,2", Erlang(1.2, 2), [
+        "0x1.36402d54c6194p+0", "0x1.6e18a99bb2480p+0",
+        "0x1.0393f215badfcp+1", "0x1.6e89fedb46941p+2",
+        "0x1.47bed0fcf1c58p+0", "0x1.448fdc521383ep-2",
+        "0x1.fc0e37a46e0bcp-3", "0x1.4bb5cf64d921ep-1",
+        "0x1.6e6a039abf17ep+0", "0x1.684da97145070p-1",
+        "0x1.acbb70bc1cdf9p+0", "0x1.d8d3f410b1142p-1",
+        "0x1.25336fae301f4p+0", "0x1.77fcd14e72007p-1",
+        "0x1.5d0e13221d260p+1", "0x1.98beb8d2f37d9p+0",
+    ]),
+    ("pareto:4,0.35", Pareto(4.0, 0.35), [
+        "0x1.339ec9983b484p-3", "0x1.0c2780ead428fp+0",
+        "0x1.255174c9a3748p+0", "0x1.195a1851349dfp-2",
+        "0x1.eea989cae0bc9p-1", "0x1.10ec9f73c2cd5p+0",
+        "0x1.a1fbb01cd078dp+3", "0x1.5387468e64e9bp-10",
+        "0x1.199ba5fe78772p-1", "0x1.52449c1b8548cp-1",
+        "0x1.1042e88a83aaep-5", "0x1.fdb57d8a5424fp-3",
+        "0x1.4a95fa457d63bp-3", "0x1.cc071ec3c71fep-5",
+        "0x1.0b2c1375a8456p-2", "0x1.4a54c3f51e50ep-2",
+    ]),
+    ("mix2exp:1,2,2/3", Mix2Exp(1.0, 2.0, 2.0 / 3.0), [
+        "0x1.3edc2ae1e4d89p-3", "0x1.02d2e9128ecaap+0",
+        "0x1.18fe546316e5dp+0", "0x1.209e287019149p-2",
+        "0x1.e070867444de5p-1", "0x1.070d6c1b64314p+0",
+        "0x1.9dd4b028a29d4p+2", "0x1.6476e60e83946p-10",
+        "0x1.1a87697074110p-1", "0x1.506c7773405abp-1",
+        "0x1.1d0c3fa5725b5p-5", "0x1.05fee5a8758e9p-2",
+        "0x1.56573cea779bfp-3", "0x1.e0adb13008736p-5",
+        "0x1.1262a4523244dp-2", "0x1.518895e6fa3f7p-2",
+    ]),
+    ("mix2exp:1,3,2/3", Mix2Exp(1.0, 3.0, 2.0 / 3.0), [
+        "0x1.04673784d20d2p-3", "0x1.d72cc8ac38de4p-1",
+        "0x1.020134fe926d4p+0", "0x1.df88acb6be9aap-3",
+        "0x1.b1ec7c61301f2p-1", "0x1.dfb0ff5647718p-1",
+        "0x1.9dc7f8ded04e4p+2", "0x1.1d38d3e90dae4p-10",
+        "0x1.e6d1d9bad44f6p-2", "0x1.25d4ba3de1142p-1",
+        "0x1.ca2776633ae50p-6", "0x1.b1c4079015f82p-3",
+        "0x1.1802ce6474416p-3", "0x1.8382b196e798cp-5",
+        "0x1.c706a513d9050p-3", "0x1.1a3b56fcb1464p-2",
+    ]),
+]
+
+
+@pytest.mark.parametrize("label,dist,want", SAMPLE_GOLDENS, ids=[g[0] for g in SAMPLE_GOLDENS])
+def test_sample_frozen_values(label, dist, want):
+    stream = LcgStream(DEFAULT_SEED)
+    assert [dist.sample(stream).hex() for _ in range(16)] == want

@@ -184,6 +184,16 @@ class TestSweepCommand:
         assert code == 0
         assert "x,main" in stdout
 
+    def test_heavy_pareto_warns_once(self, capsys):
+        args = [a for a in SWEEP_ARGS]
+        args[args.index("--y") + 1] = "pareto:3.5,0.35"
+        args[args.index("--methods") + 1] = "main"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(args, capsys)
+        assert code == 0
+        assert [w.category for w in caught] == [RuntimeWarning]
+
     def test_t_sweep(self, capsys):
         code, stdout, _ = run_cli(
             ["sweep", "--var", "t", "--min", "20", "--max", "100", "--step", "20",

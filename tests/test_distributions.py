@@ -8,7 +8,7 @@ same quadrature runs below as the independent cross-check.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -139,6 +139,20 @@ class TestQuantile:
         d = Mix2Exp(l1, l1 + bump, p)
         assert abs(d.cdf(d.quantile(u)) - u) <= 1e-10
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        l1=st.floats(min_value=0.01, max_value=50.0),
+        bump=st.floats(min_value=0.01, max_value=50.0),
+        p=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_mixture_bisection_stop_is_bit_exact(self, u, l1, bump, p):
+        # the early stop at a fixed point must return exactly what the
+        # full fixed-count bisection returns
+        d = Mix2Exp(l1, l1 + bump, p)
+        assume(d.rate2 != 2.0 * d.rate1 and d.q != 0.0)
+        assert d.quantile(u) == _bisect_90(d, u)
+
     @settings(max_examples=80, deadline=None)
     @given(
         u=st.floats(min_value=0.001, max_value=0.999),
@@ -148,6 +162,18 @@ class TestQuantile:
     def test_pareto_round_trip_property(self, u, a, b):
         d = Pareto(a, b)
         assert abs(d.cdf(d.quantile(u)) - u) <= 1e-10
+
+
+def _bisect_90(d, u):
+    """Mix2Exp quantile by 90 bisection steps on cdf(), never stopping early."""
+    lo, hi = 0.0, -math.log1p(-u) / d.rate1
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if d.cdf(mid) < u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _raw_moment(d, k):
@@ -234,6 +260,24 @@ class TestSampling:
         for _ in range(50):
             want = sum(expo.sample(s2) for _ in range(4))
             assert erl.sample(s1) == want
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4, 5])
+    def test_erlang_kernel_is_sum_of_exponentials(self, shape):
+        erl, expo = Erlang(0.7, shape), Exponential(0.7)
+        transform, n = erl.draw_kernel()
+        assert n == shape
+        s1, s2, s3 = LcgStream(2718), LcgStream(2718), LcgStream(2718)
+        for _ in range(30):
+            want = 0.0
+            for _ in range(shape):
+                want += expo.sample(s2)
+            kernel = 0.0
+            for _ in range(n):
+                kernel += transform(s3.next_uniform())
+            before = s1.draws
+            assert erl.sample(s1) == kernel == want
+            assert s1.draws - before == shape
+        assert s1.state == s2.state == s3.state
 
     def test_sample_moments_close(self):
         n = 100_000

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from levelcross.approx import CrossingQuery
-from levelcross.distributions import Erlang, Exponential, Pareto
+from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.sim import (
     LcgStream,
@@ -122,6 +122,33 @@ class TestTrajectories:
         assert stream.draws > 1 + k
         assert (stream.draws - 1 - k) % (k + 1) == 0
 
+    @pytest.mark.parametrize(
+        "t_dist,y_dist",
+        [
+            (Exponential(1.0), Exponential(1.0)),
+            (Erlang(1.2, 2), Erlang(1.0, 2)),
+            (Erlang(6.0, 4), Pareto(4.0, 0.4)),
+            (Mix2Exp(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
+            (Mix2Exp(1.0, 3.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
+            (Pareto(4.0, 0.4), Erlang(2.0, 3)),
+        ],
+        ids=["exp-exp", "erlang-erlang", "erlang-pareto", "mix2exp-pareto",
+             "mix2exp_bisect-pareto", "pareto-erlang"],
+    )
+    def test_matches_sample_reference_bit_for_bit(self, t_dist, y_dist):
+        # the fused loop against the plain one built from sample(): same
+        # epochs, same final generator state, same draw count.  The second
+        # seed is the predecessor of state 0, so the first draw must skip it.
+        zero_pred = (pow(23456789, -1, 2**32) * -22185) % 2**32
+        for seed in (20170101, zero_pred):
+            stream, ref = LcgStream(seed), LcgStream(seed)
+            for u, c, v in [(10.0, 1.0, 0.0), (10.0, 0.3, 0.5), (2.0, 2.5, 0.0), (1e-9, 1.0, 0.0)]:
+                for _ in range(40):
+                    tau = first_crossing_time(t_dist, y_dist, u, c, v, 30.0, stream)
+                    want = _reference_first_crossing_time(t_dist, y_dist, u, c, v, 30.0, ref)
+                    assert tau == want
+                    assert (stream.state, stream.draws) == (ref.state, ref.draws)
+
     def test_requires_finite_horizon(self):
         with pytest.raises(ValueError):
             simulate_conditional(
@@ -131,6 +158,21 @@ class TestTrajectories:
             simulate_conditional(
                 Exponential(1.0), Exponential(1.0), 10.0, 1.0, 0.0, 100.0, 0, 1
             )
+
+
+def _reference_first_crossing_time(t_dist, y_dist, u, c, v, horizon, stream):
+    """The trajectory loop drawing every variate through sample()."""
+    s = v
+    total = y_dist.sample(stream)
+    if total - c * s > u:
+        return s
+    while True:
+        s += t_dist.sample(stream)
+        if s > horizon:
+            return None
+        total += y_dist.sample(stream)
+        if total - c * s > u:
+            return s
 
 
 def _record_paths(t_dist, y_dist, v, horizon, n, seed):
@@ -209,6 +251,26 @@ class TestSweep:
                 Pareto(1.5, 0.4), Pareto(4.0, 0.4), 40.0, 0.0, 50.0, grid, 50, 3
             )
         assert 0.0 <= est.estimate <= 1.0
+
+
+    def test_moment_poor_law_simulates_silently(self):
+        # Pareto shape 2.5 has no third moment, so there is no c* to check
+        grid = SweepGrid(1.0, 1.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(_, est)] = sweep_c(
+                Pareto(2.5, 1.0), Exponential(1.0), 10.0, 0.0, 50.0, grid, 50, 3
+            )
+        assert 0.0 <= est.estimate <= 1.0
+
+    def test_other_constant_errors_propagate(self, monkeypatch):
+        def broken(t_dist, y_dist):
+            raise ZeroDivisionError("broken constants")
+
+        monkeypatch.setattr("levelcross.sim.constants_for", broken)
+        with pytest.raises(ZeroDivisionError):
+            sweep_c(Exponential(1.0), Exponential(1.0), 10.0, 0.0, 20.0,
+                    SweepGrid(1.0, 1.0, 0.1), 10, 1)
 
 
 class TestSweepGrid:
