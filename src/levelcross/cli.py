@@ -113,18 +113,10 @@ def _print_constants(t_dist: Distribution, y_dist: Distribution, out) -> None:
     print(f"KS*c = {_fmt(k.ks_coeff)}", file=out)
 
 
-def build_sweep(
-    job: JobConfig, t_dist: Distribution | None = None, y_dist: Distribution | None = None
-) -> SweepResult:
-    """Evaluate every requested method on the sweep lattice.
-
-    ``t_dist`` and ``y_dist`` are ``job``'s specs already parsed by the
-    caller; the specs are parsed here when they are not given.
-    """
-    if t_dist is None:
-        t_dist = parse_dist_spec(job.t_spec)
-    if y_dist is None:
-        y_dist = parse_dist_spec(job.y_spec)
+def build_sweep(job: JobConfig) -> SweepResult:
+    """Evaluate every requested method on the sweep lattice."""
+    t_dist = parse_dist_spec(job.t_spec)
+    y_dist = parse_dist_spec(job.y_spec)
     for m in job.methods:
         if m not in _METHODS:
             raise LevelCrossError(f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
@@ -358,11 +350,9 @@ def _cmd_simulate(job: JobConfig, out) -> int:
 
 
 def _cmd_sweep(job: JobConfig, out) -> int:
-    # parsed once, so a heavy-tail warning fires once
-    t_dist = parse_dist_spec(job.t_spec)
-    y_dist = parse_dist_spec(job.y_spec)
-    result = build_sweep(job, t_dist, y_dist)
-    _print_constants(t_dist, y_dist, out)
+    result = build_sweep(job)
+    # build_sweep has already warned about a heavy Pareto tail
+    _print_constants(parse_spec(job.t_spec), parse_spec(job.y_spec), out)
     print(f"var = {result.var}", file=out)
     print(f"rows = {len(result.rows)}", file=out)
     csv_text = result.to_csv()

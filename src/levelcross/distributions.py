@@ -9,7 +9,9 @@ inverse-transform sampling from a caller-supplied uniform stream.
 A stream is any object with a ``next_uniform() -> float in (0, 1)``
 method; :class:`levelcross.sim.LcgStream` is the deterministic one used
 throughout.  ``draw_kernel()`` exposes the unchecked transform behind
-``sample()``, so the simulator can draw without a stream object.
+``sample()``, so the simulator can draw without a stream object.  It
+returns None for a law whose ``sample()`` it would not reproduce, such as
+a subclass that overrides ``sample()`` or ``quantile()``.
 """
 
 import math
@@ -66,10 +68,18 @@ class Distribution:
         """The quantile without its argument check."""
         raise NotImplementedError
 
-    def draw_kernel(self) -> tuple[Callable[[float], float], int]:
+    def draw_kernel(self) -> tuple[Callable[[float], float], int] | None:
         """``(transform, n)``: one ``sample()`` is the sum, in draw order,
         of ``transform(u)`` over ``n`` fresh uniforms.  ``transform`` skips
-        the argument check, so it must only see uniforms in (0, 1)."""
+        the argument check, so it must only see uniforms in (0, 1).
+
+        None when the class's ``sample`` or ``quantile`` is no longer the
+        definition the kernel stands for (a subclass overrode it, or it
+        was replaced on the class); draw with ``sample()`` then.
+        """
+        cls = type(self)
+        if cls.sample is not _SAMPLE or cls.quantile is not _QUANTILE:
+            return None
         return self._inverse, 1
 
     def moments(self) -> MomentSet:
@@ -81,6 +91,10 @@ class Distribution:
     def sample(self, stream) -> float:
         """Inverse-transform draw consuming exactly one uniform."""
         return self.quantile(stream.next_uniform())
+
+
+# the definitions Distribution.draw_kernel() reproduces
+_SAMPLE, _QUANTILE = Distribution.sample, Distribution.quantile
 
 
 @dataclass(frozen=True)
@@ -238,21 +252,27 @@ class Erlang(Distribution):
         k, r = self.shape, self.rate
         return MomentSet(k / r, k / r**2, 2.0 * k / r**3)
 
-    def draw_kernel(self) -> tuple[Callable[[float], float], int]:
+    def draw_kernel(self) -> tuple[Callable[[float], float], int] | None:
+        if type(self).sample is not _ERLANG_SAMPLE:
+            return None
         return Exponential(self.rate)._inverse, self.shape
 
     def sample(self, stream) -> float:
         # sum of `shape` exponential draws, consuming exactly `shape`
         # uniforms; summed draw-by-draw so the result is bit-identical to
         # adding `shape` Exponential samples from the same stream
-        transform, n = self.draw_kernel()
+        transform = Exponential(self.rate)._inverse
         total = 0.0
-        for _ in range(n):
+        for _ in range(self.shape):
             total += transform(stream.next_uniform())
         return total
 
     def spec_string(self) -> str:
         return f"erlang:{self.rate:g},{self.shape}"
+
+
+# the definition Erlang.draw_kernel() reproduces
+_ERLANG_SAMPLE = Erlang.sample
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ inverse transforms never see u = 0 exactly.  Streams are values: the pure
 ``lcg_next``/``next_uniform`` functions advance an integer state, and
 :class:`LcgStream` wraps one for sampling loops.
 
-Parallel-safe sweeps derive one independent substream per grid node with
+Sweeps derive one independent substream per grid node with
 ``substream_seed`` (a splitmix64 avalanche of master seed and node index,
-truncated to 32 bits), so results do not depend on evaluation order.
+truncated to 32 bits), so a node's result depends only on (master seed,
+node index), whatever order the nodes are evaluated in.
 """
 
 import math
@@ -83,6 +84,10 @@ class LcgStream:
         u, self.state = next_uniform(self.state)
         self.draws += 1
         return u
+
+
+# the stream method first_crossing_time's fused loop inlines
+_NEXT_UNIFORM = LcgStream.next_uniform
 
 
 def substream_seed(master_seed: int, index: int) -> int:
@@ -180,10 +185,20 @@ def first_crossing_time(
     ``t_dist.sample(stream)`` for each gap; ``stream.state`` and
     ``stream.draws`` advance exactly as they would.  The generator steps
     inline on a local integer state, and each uniform costs one call of
-    its law's ``draw_kernel()`` transform.
+    its law's ``draw_kernel()`` transform.  When that cannot reproduce
+    ``sample()`` (a law without a kernel, or a stream that is not a plain
+    :class:`LcgStream`), the draws go through ``sample()`` itself.
     """
-    t_draw, t_uniforms = t_dist.draw_kernel()
-    y_draw, y_uniforms = y_dist.draw_kernel()
+    t_kernel, y_kernel = t_dist.draw_kernel(), y_dist.draw_kernel()
+    if (
+        t_kernel is None
+        or y_kernel is None
+        or type(stream) is not LcgStream
+        or LcgStream.next_uniform is not _NEXT_UNIFORM
+    ):
+        return _first_crossing_by_sample(t_dist, y_dist, u, c, v, horizon, stream)
+    t_draw, t_uniforms = t_kernel
+    y_draw, y_uniforms = y_kernel
     t_more, y_more = range(t_uniforms - 1), range(y_uniforms - 1)
     a, b, mask, scale = LCG_MULTIPLIER, LCG_INCREMENT, _MASK32, _INV_MODULUS
     x = stream.state
@@ -217,6 +232,22 @@ def first_crossing_time(
     stream.state = x
     stream.draws += jumps * y_uniforms + gaps * t_uniforms
     return tau
+
+
+def _first_crossing_by_sample(t_dist, y_dist, u, c, v, horizon, stream):
+    """first_crossing_time drawing every variate through ``sample()``, on
+    any stream; the definition the fused loop reproduces."""
+    s = v
+    total = y_dist.sample(stream)
+    if total - c * s > u:
+        return s
+    while True:
+        s += t_dist.sample(stream)
+        if s > horizon:
+            return None
+        total += y_dist.sample(stream)
+        if total - c * s > u:
+            return s
 
 
 def simulate_conditional(
@@ -269,9 +300,8 @@ def sweep_c(
 ) -> list[tuple[float, SimEstimate]]:
     """Simulate every node of the grid with its own substream.
 
-    Node results depend only on (master_seed, node index), never on
-    processing order, so serial and concurrent execution agree bit for
-    bit.  Warns when the critical rate lies outside the grid, since that
+    Node results depend only on (master_seed, node index), whatever order
+    the nodes are evaluated in.  Warns when the critical rate lies outside the grid, since that
     is where the estimates are most informative.
     """
     try:

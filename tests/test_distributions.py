@@ -279,6 +279,22 @@ class TestSampling:
             assert s1.draws - before == shape
         assert s1.state == s2.state == s3.state
 
+    def test_no_kernel_once_sample_or_quantile_is_overridden(self):
+        class Doubled(Exponential):
+            def quantile(self, u):
+                return 2.0 * super().quantile(u)
+
+        class Shifted(Erlang):
+            def sample(self, stream):
+                return 1.0 + super().sample(stream)
+
+        class Halved(Pareto):
+            def sample(self, stream):
+                return 0.5 * super().sample(stream)
+
+        for dist in (Doubled(1.0), Shifted(1.0, 2), Halved(4.0, 0.35)):
+            assert dist.draw_kernel() is None
+
     def test_sample_moments_close(self):
         n = 100_000
         for d in [Exponential(1.0), Erlang(1.2, 2), Pareto(4.0, 0.4), Mix2Exp(1, 2, 2 / 3)]:

@@ -149,6 +149,48 @@ class TestTrajectories:
                     assert tau == want
                     assert (stream.state, stream.draws) == (ref.state, ref.draws)
 
+    def test_other_streams_draw_through_sample(self):
+        # a stream that is not a plain LcgStream cannot be stepped inline;
+        # its own next_uniform must hand out every uniform
+        class CountingStream(LcgStream):
+            __slots__ = ("calls",)
+
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.calls = 0
+
+            def next_uniform(self):
+                self.calls += 1
+                return super().next_uniform()
+
+        t_dist, y_dist = Erlang(1.2, 2), Mix2Exp(1.0, 3.0, 2.0 / 3.0)
+        stream, plain = CountingStream(99), LcgStream(99)
+        for _ in range(40):
+            tau = first_crossing_time(t_dist, y_dist, 5.0, 1.0, 0.0, 30.0, stream)
+            assert tau == first_crossing_time(t_dist, y_dist, 5.0, 1.0, 0.0, 30.0, plain)
+        assert stream.calls == stream.draws == plain.draws
+        assert stream.state == plain.state
+
+    def test_overridden_quantile_is_honoured(self):
+        class Doubled(Exponential):
+            def quantile(self, u):
+                return 2.0 * super().quantile(u)
+
+        stream, ref = LcgStream(7), LcgStream(7)
+        epochs = []
+        for _ in range(40):
+            tau = first_crossing_time(Doubled(1.0), Doubled(1.0), 5.0, 1.0, 0.0, 30.0, stream)
+            assert tau == _reference_first_crossing_time(
+                Doubled(1.0), Doubled(1.0), 5.0, 1.0, 0.0, 30.0, ref
+            )
+            epochs.append(tau)
+        assert (stream.state, stream.draws) == (ref.state, ref.draws)
+        plain = LcgStream(7)
+        assert epochs != [
+            first_crossing_time(Exponential(1.0), Exponential(1.0), 5.0, 1.0, 0.0, 30.0, plain)
+            for _ in range(40)
+        ]
+
     def test_requires_finite_horizon(self):
         with pytest.raises(ValueError):
             simulate_conditional(
