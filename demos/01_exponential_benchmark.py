@@ -19,11 +19,11 @@ from levelcross import (
     ExpExpModel,
     SweepGrid,
     constants_for,
+    evaluate_sweep,
     exact_conditional,
     main_term,
-    sweep_c,
+    render_svg,
 )
-from levelcross.cli import SweepResult, render_svg
 
 U, HORIZON, TRIALS = 10.0, 100.0, 1000
 
@@ -34,34 +34,20 @@ k = constants_for(gaps, jumps)
 print(f"constants: M={k.M:g}  D2={k.D2:g}  c*={k.c_star:g}  "
       f"KF*c={k.kf_coeff:g}  KS*c={k.ks_coeff:g}")
 
-grid = SweepGrid(0.05, 2.0, 0.05)
-sim_nodes = dict(sweep_c(gaps, jumps, U, 0.0, HORIZON, grid, TRIALS, DEFAULT_SEED))
-
-result = SweepResult(var="c", methods=("main", "exact", "sim"))
+result = evaluate_sweep(gaps, jumps, SweepGrid(0.05, 2.0, 0.05), ("main", "exact", "sim"),
+                        u=U, horizon=HORIZON, trials=TRIALS, seed=DEFAULT_SEED)
 print(f"\n{'c':>5} {'exact':>10} {'main':>10} {'sim':>10}   95% CI")
-worst = 0.0
-for c in grid.nodes():
-    q = CrossingQuery(U, c, 0.0, HORIZON)
-    exact = exact_conditional(model, q)
-    approx = main_term(q, k)
-    est = sim_nodes[c]
-    worst = max(worst, abs(approx - exact))
-    result.rows.append((c, {
-        "main": approx, "exact": exact, "sim": est.estimate,
-        "sim_ci_low": est.ci_low, "sim_ci_high": est.ci_high,
-    }))
+worst, covered = 0.0, 0
+for c, r in result.rows:
+    est = r["sim"]
+    worst = max(worst, abs(r["main"] - r["exact"]))
+    covered += est.ci_low <= r["exact"] <= est.ci_high
     if round(c * 20) % 4 == 0:  # print every 0.2
-        print(f"{c:5.2f} {exact:10.5f} {approx:10.5f} {est.estimate:10.5f}"
+        print(f"{c:5.2f} {r['exact']:10.5f} {r['main']:10.5f} {est.estimate:10.5f}"
               f"   [{est.ci_low:.3f}, {est.ci_high:.3f}]")
 
-covered = sum(
-    1 for c in grid.nodes()
-    if sim_nodes[c].ci_low
-    <= exact_conditional(model, CrossingQuery(U, c, 0.0, HORIZON))
-    <= sim_nodes[c].ci_high
-)
 print(f"\nmax |main - exact| over the grid: {worst:.4f}")
-print(f"simulation CI covers the exact value at {covered}/{len(grid.nodes())} nodes")
+print(f"simulation CI covers the exact value at {covered}/{len(result.rows)} nodes")
 
 with open("exp_benchmark.csv", "w", encoding="utf-8", newline="\n") as fh:
     fh.write(result.to_csv())

@@ -9,36 +9,34 @@ probability over the whole drift range, while the main term crosses it.
 from levelcross import (
     CrossingQuery,
     Exponential,
-    ExpExpModel,
+    SweepGrid,
     constants_for,
     corrected_expansion,
-    exact_conditional,
+    evaluate_sweep,
+    render_svg,
 )
-from levelcross.cli import SweepResult, render_svg
 
 U, HORIZON = 50.0, 1000.0
-model = ExpExpModel(1.0, 1.0)
-k = constants_for(Exponential(1.0), Exponential(1.0))
+exp1 = Exponential(1.0)
+k = constants_for(exp1, exp1)
 
 print(f"u={U:g}  t={HORIZON:g}  c*={k.c_star:g}  KF={k.kf_coeff:g}/c  KS={k.ks_coeff:g}/c\n")
 print(f"{'c':>5} {'exact':>9} {'main':>9} {'corrected':>10} {'I_F':>9} {'I_S':>9}")
 
-result = SweepResult(var="c", methods=("main", "corrected", "exact"))
+result = evaluate_sweep(exp1, exp1, SweepGrid(0.5, 2.0, 0.05), ("main", "corrected", "exact"),
+                        u=U, horizon=HORIZON)
 below, above_main = 0, 0
-cs = [0.50 + 0.05 * i for i in range(31)]
-for c in cs:
-    q = CrossingQuery(U, c, 0.0, HORIZON)
-    r = corrected_expansion(q, k)
-    exact = exact_conditional(model, q)
-    below += r.corrected <= exact
-    above_main += r.main >= exact
-    result.rows.append((c, {"main": r.main, "corrected": r.corrected, "exact": exact}))
+for c, r in result.rows:
+    below += r["corrected"] <= r["exact"]
+    above_main += r["main"] >= r["exact"]
     if round(c * 20) % 2 == 0:
-        print(f"{c:5.2f} {exact:9.5f} {r.main:9.5f} {r.corrected:10.5f} "
-              f"{r.correction_f:9.5f} {r.correction_s:9.5f}")
+        terms = corrected_expansion(CrossingQuery(U, c, 0.0, HORIZON), k)
+        print(f"{c:5.2f} {r['exact']:9.5f} {r['main']:9.5f} {r['corrected']:10.5f} "
+              f"{terms.correction_f:9.5f} {terms.correction_s:9.5f}")
 
-print(f"\ncorrected <= exact at {below}/{len(cs)} nodes")
-print(f"main >= exact at {above_main}/{len(cs)} nodes (the main term tends to overshoot here)")
+print(f"\ncorrected <= exact at {below}/{len(result.rows)} nodes")
+print(f"main >= exact at {above_main}/{len(result.rows)} nodes "
+      "(the main term tends to overshoot here)")
 
 with open("correction_terms.svg", "w", encoding="utf-8", newline="\n") as fh:
     fh.write(render_svg(result))

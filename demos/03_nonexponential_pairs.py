@@ -10,18 +10,15 @@ writes an SVG.  Pass a trial count to override the quick default:
 """
 
 import sys
-import warnings
 
 from levelcross import (
-    CrossingQuery,
     DEFAULT_SEED,
     SweepGrid,
     constants_for,
-    corrected_expansion,
+    evaluate_sweep,
     parse_spec,
-    sweep_c,
+    render_svg,
 )
-from levelcross.cli import SweepResult, render_svg
 
 TRIALS = int(sys.argv[1]) if len(sys.argv) > 1 else 300
 U, HORIZON = 40.0, 1000.0
@@ -33,8 +30,6 @@ PAIRS = [
     ("pareto_pareto", "pareto:4,0.4", "pareto:4,0.4"),
 ]
 
-warnings.filterwarnings("ignore", message="Pareto shape")
-
 for name, t_spec, y_spec in PAIRS:
     gaps, jumps = parse_spec(t_spec), parse_spec(y_spec)
     k = constants_for(gaps, jumps)
@@ -44,22 +39,16 @@ for name, t_spec, y_spec in PAIRS:
 
     grid = SweepGrid(round(0.4 * k.c_star, 2), round(1.8 * k.c_star, 2), 0.1,
                      refinements=((round(0.85 * k.c_star, 2), round(1.15 * k.c_star, 2), 2),))
-    sim_nodes = dict(sweep_c(gaps, jumps, U, 0.0, HORIZON, grid, TRIALS, DEFAULT_SEED))
-
-    result = SweepResult(var="c", methods=("main", "corrected", "sim"))
+    result = evaluate_sweep(gaps, jumps, grid, ("main", "corrected", "sim"),
+                            u=U, horizon=HORIZON, trials=TRIALS, seed=DEFAULT_SEED)
     inside = 0
     print(f"    {'c':>5} {'main':>9} {'corrected':>10} {'sim':>7}   95% CI")
-    for c in grid.nodes():
-        r = corrected_expansion(CrossingQuery(U, c, 0.0, HORIZON), k)
-        est = sim_nodes[c]
-        inside += est.ci_low - 0.02 <= r.corrected <= est.ci_high + 0.02
-        result.rows.append((c, {
-            "main": r.main, "corrected": r.corrected, "sim": est.estimate,
-            "sim_ci_low": est.ci_low, "sim_ci_high": est.ci_high,
-        }))
-        print(f"    {c:5.2f} {r.main:9.5f} {r.corrected:10.5f} {est.estimate:7.3f}"
+    for c, r in result.rows:
+        est = r["sim"]
+        inside += est.ci_low - 0.02 <= r["corrected"] <= est.ci_high + 0.02
+        print(f"    {c:5.2f} {r['main']:9.5f} {r['corrected']:10.5f} {est.estimate:7.3f}"
               f"   [{est.ci_low:.3f}, {est.ci_high:.3f}]")
-    print(f"    corrected within widened CI at {inside}/{len(grid.nodes())} nodes")
+    print(f"    corrected within widened CI at {inside}/{len(result.rows)} nodes")
 
     out = f"pair_{name}.svg"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -12,6 +12,8 @@ u > 0, three independent ways:
   :mod:`levelcross.exact`;
 * a reproducible Monte Carlo simulator driven by an explicit 32-bit
   linear congruential generator -- :mod:`levelcross.sim`.
+
+:mod:`levelcross.sweep` evaluates them over a grid of drift rates or horizons.
 """
 
 __version__ = "0.1.0"
@@ -59,15 +61,14 @@ from .sim import (
     DEFAULT_SEED,
     LcgStream,
     SimEstimate,
-    SweepGrid,
     first_crossing_time,
     lcg_next,
     next_uniform,
     simulate_conditional,
     substream_seed,
-    sweep_c,
     wilson_interval,
 )
+from .sweep import SweepGrid, SweepResult, evaluate_sweep, render_svg, sweep_c
 
 __all__ = [
     "__version__",
@@ -103,12 +104,15 @@ __all__ = [
     "DEFAULT_SEED",
     "LcgStream",
     "SimEstimate",
-    "SweepGrid",
     "first_crossing_time",
     "lcg_next",
     "next_uniform",
     "simulate_conditional",
     "substream_seed",
-    "sweep_c",
     "wilson_interval",
+    "SweepGrid",
+    "SweepResult",
+    "evaluate_sweep",
+    "render_svg",
+    "sweep_c",
 ]

@@ -9,19 +9,15 @@ inverse transforms never see u = 0 exactly.  Streams are values: the pure
 ``lcg_next``/``next_uniform`` functions advance an integer state, and
 :class:`LcgStream` wraps one for sampling loops.
 
-Sweeps derive one independent substream per grid node with
-``substream_seed`` (a splitmix64 avalanche of master seed and node index,
-truncated to 32 bits), so a node's result depends only on (master seed,
-node index), whatever order the nodes are evaluated in.
+``substream_seed`` derives one independent 32-bit seed per sweep node (a
+splitmix64 avalanche of master seed and node index); the seeding rule and
+the sweep CSV format are documented in :mod:`levelcross.sweep`.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .distributions import Distribution
-from .errors import MomentUndefinedError
-from .moments import constants_for
 
 __all__ = [
     "LCG_MULTIPLIER",
@@ -31,12 +27,10 @@ __all__ = [
     "next_uniform",
     "LcgStream",
     "substream_seed",
-    "SweepGrid",
     "SimEstimate",
     "wilson_interval",
     "first_crossing_time",
     "simulate_conditional",
-    "sweep_c",
     "DEFAULT_SEED",
 ]
 
@@ -102,37 +96,6 @@ def substream_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z & _MASK32
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Drift-rate lattice c_i = c_min + i * delta_c up to c_max, with
-    optional locally refined intervals (lo, hi, factor) that subdivide the
-    base span by ``factor`` inside [lo, hi]."""
-
-    c_min: float
-    c_max: float
-    delta_c: float
-    refinements: tuple[tuple[float, float, int], ...] = ()
-
-    def __post_init__(self):
-        if not self.delta_c > 0.0:
-            raise ValueError("delta_c must be > 0")
-        if not self.c_max >= self.c_min > 0.0:
-            raise ValueError("need 0 < c_min <= c_max")
-
-    def nodes(self) -> list[float]:
-        count = int(math.floor((self.c_max - self.c_min) / self.delta_c + 1e-9)) + 1
-        pts = {round(self.c_min + i * self.delta_c, 12) for i in range(count)}
-        for lo, hi, factor in self.refinements:
-            step = self.delta_c / factor
-            n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            pts.update(
-                round(lo + i * step, 12)
-                for i in range(n)
-                if self.c_min <= lo + i * step <= self.c_max
-            )
-        return sorted(pts)
 
 
 @dataclass(frozen=True)
@@ -286,37 +249,3 @@ def simulate_conditional(
         seed=seed,
         successes=successes,
     )
-
-
-def sweep_c(
-    t_dist: Distribution,
-    y_dist: Distribution,
-    u: float,
-    v: float,
-    t: float,
-    grid: SweepGrid,
-    n_trials: int,
-    master_seed: int = DEFAULT_SEED,
-) -> list[tuple[float, SimEstimate]]:
-    """Simulate every node of the grid with its own substream.
-
-    Node results depend only on (master_seed, node index), whatever order
-    the nodes are evaluated in.  Warns when the critical rate lies outside the grid, since that
-    is where the estimates are most informative.
-    """
-    try:
-        c_star = constants_for(t_dist, y_dist).c_star
-    except MomentUndefinedError:
-        c_star = None  # moment-poor laws can still be simulated
-    if c_star is not None and not grid.c_min <= c_star <= grid.c_max:
-        warnings.warn(
-            f"critical rate c* = {c_star:g} lies outside the sweep grid "
-            f"[{grid.c_min:g}, {grid.c_max:g}]",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    out = []
-    for i, c in enumerate(grid.nodes()):
-        node_seed = substream_seed(master_seed, i)
-        out.append((c, simulate_conditional(t_dist, y_dist, u, c, v, t, n_trials, node_seed)))
-    return out

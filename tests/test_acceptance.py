@@ -45,7 +45,8 @@ from levelcross.cli import main as cli_main
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional, series_oracle
 from levelcross.moments import constants_for, model_constants_lemma
-from levelcross.sim import DEFAULT_SEED, LcgStream, SweepGrid, substream_seed, sweep_c
+from levelcross.sim import DEFAULT_SEED, LcgStream, substream_seed
+from levelcross.sweep import SweepGrid, sweep_c
 
 UNIT = ExpExpModel(1.0, 1.0)
 EXP_K = constants_for(Exponential(1.0), Exponential(1.0))

@@ -7,15 +7,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from levelcross.cli import (
-    JobConfig,
-    build_sweep,
-    main,
-    parse_dist_spec,
-    render_svg,
-    run,
-)
-from levelcross.distributions import Exponential, Mix2Exp, Pareto
+from levelcross import SweepGrid, evaluate_sweep, parse_spec, render_svg
+from levelcross.cli import main, parse_dist_spec
+from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
+from levelcross.errors import LevelCrossError
+from levelcross.sim import simulate_conditional, substream_seed
 
 
 def run_cli(argv, capsys):
@@ -194,6 +190,23 @@ class TestSweepCommand:
         assert code == 0
         assert [w.category for w in caught] == [RuntimeWarning]
 
+    def test_sim_only_sweep_of_moment_poor_law(self, tmp_path, capsys):
+        # Pareto shape 2.5 has no third moment: no constants, but simulation runs
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, stdout, _ = run_cli(
+                ["sweep", "--t", "pareto:2.5,1", "--y", "exp:1", "--u", "10",
+                 "--horizon", "50", "--min", "1", "--max", "1.2", "--step", "0.1",
+                 "--methods", "sim", "--trials", "50", "--out", str(out)],
+                capsys,
+            )
+        assert code == 0
+        assert out.read_text().split("\n")[0] == "x,sim,sim_ci_low,sim_ci_high"
+        kv = parse_kv(stdout)
+        assert {"T", "Y", "rows"} <= set(kv)
+        assert "c_star" not in kv
+
     def test_t_sweep(self, capsys):
         code, stdout, _ = run_cli(
             ["sweep", "--var", "t", "--min", "20", "--max", "100", "--step", "20",
@@ -234,6 +247,53 @@ class TestSweepCommand:
         assert "unknown method" in err
 
 
+def sim_cells(stdout):
+    """(x, sim) of every CSV row printed to stdout."""
+    rows = [line.split(",") for line in stdout.splitlines() if line[:1].isdigit()]
+    header = next(line for line in stdout.splitlines() if line.startswith("x,")).split(",")
+    i_sim = header.index("sim")
+    return [(float(row[0]), row[i_sim]) for row in rows]
+
+
+class TestNodeSeeding:
+    """Sweep node i simulates from substream_seed(seed, i), i the row index."""
+
+    def test_c_sweep_with_capped_infinite_horizon(self, capsys):
+        code, stdout, _ = run_cli(
+            ["sweep", "--var", "c", "--min", "0.8", "--max", "1.4", "--step", "0.2",
+             "--t", "exp:1", "--y", "exp:1", "--u", "10", "--horizon", "inf",
+             "--inf-cap", "200", "--methods", "main,sim", "--trials", "150",
+             "--seed", "11"],
+            capsys,
+        )
+        assert code == 0
+        cells = sim_cells(stdout)
+        assert [x for x, _ in cells] == [0.8, 1.0, 1.2, 1.4]
+        for i, (c, cell) in enumerate(cells):
+            est = simulate_conditional(
+                Exponential(1.0), Exponential(1.0), 10.0, c, 0.0, 200.0, 150,
+                substream_seed(11, i),
+            )
+            assert cell == f"{est.estimate:.12g}"
+
+    def test_t_sweep_drops_nodes_before_indexing(self, capsys):
+        code, stdout, _ = run_cli(
+            ["sweep", "--var", "t", "--min", "10", "--max", "70", "--step", "20",
+             "--t", "erlang:2,2", "--y", "exp:1", "--u", "3", "--c", "0.5", "--v", "30",
+             "--methods", "sim", "--trials", "150", "--seed", "11"],
+            capsys,
+        )
+        assert code == 0
+        cells = sim_cells(stdout)
+        assert [x for x, _ in cells] == [50.0, 70.0]  # 10 and 30 are not after v
+        for i, (t, cell) in enumerate(cells):
+            est = simulate_conditional(
+                Erlang(2.0, 2), Exponential(1.0), 3.0, 0.5, 30.0, t, 150,
+                substream_seed(11, i),
+            )
+            assert cell == f"{est.estimate:.12g}"
+
+
 class TestSeedResolution:
     def test_env_seed_used_as_default(self, capsys, monkeypatch):
         argv = ["simulate", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1",
@@ -244,6 +304,21 @@ class TestSeedResolution:
         _, out_explicit, _ = run_cli(argv + ["--seed", "31415"], capsys)
         assert parse_kv(out_env) == parse_kv(out_explicit)
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--c", "1"],
+        ["sweep", "--min", "1", "--max", "1", "--step", "1", "--methods", "sim"],
+    ], ids=["simulate", "sweep"])
+    def test_non_integer_env_seed_is_an_error(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("FPT_SEED", "abc")
+        code, out, err = run_cli(
+            argv + ["--t", "exp:1", "--y", "exp:1", "--u", "1", "--horizon", "5",
+                    "--trials", "10"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: FPT_SEED must be an integer, got 'abc'\n"
+
     def test_explicit_seed_beats_env(self, capsys, monkeypatch):
         argv = ["simulate", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1",
                 "--horizon", "50", "--trials", "100", "--seed", "3"]
@@ -252,34 +327,28 @@ class TestSeedResolution:
         assert parse_kv(out)["seed"] == "3"
 
 
-class TestBuildSweepApi:
+class TestEvaluateSweepApi:
     def test_erlang_pair_corrected_only(self):
-        job = JobConfig(
-            command="sweep", t_spec="erlang:1.2,2", y_spec="erlang:1,2",
-            u=40.0, v=0.0, horizon=1000.0, methods=("main", "corrected"),
-            var="c", var_min=0.8, var_max=1.6, var_step=0.2,
+        result = evaluate_sweep(
+            parse_spec("erlang:1.2,2"), parse_spec("erlang:1,2"),
+            SweepGrid(0.8, 1.6, 0.2), ("main", "corrected"),
+            u=40.0, v=0.0, horizon=1000.0,
         )
-        result = build_sweep(job)
         assert [x for x, _ in result.rows] == [0.8, 1.0, 1.2, 1.4, 1.6]
         for _, values in result.rows:
             assert set(values) == {"main", "corrected"}
         assert result.metadata["c_star"] == pytest.approx(1.2, abs=1e-12)
 
     def test_render_svg_parses(self):
-        job = JobConfig(
-            command="sweep", t_spec="exp:1", y_spec="exp:1",
-            u=10.0, v=0.0, horizon=math.inf, methods=("main",),
-            var="c", var_min=0.5, var_max=1.5, var_step=0.5,
+        result = evaluate_sweep(
+            parse_spec("exp:1"), parse_spec("exp:1"), SweepGrid(0.5, 1.5, 0.5), ("main",),
+            u=10.0, v=0.0, horizon=math.inf,
         )
-        result = build_sweep(job)
         ET.fromstring(render_svg(result))
 
     def test_error_paths(self):
-        bad = JobConfig(
-            command="sweep", t_spec="exp:1", y_spec="exp:1", u=10.0,
-            horizon=100.0, methods=(), var="c", var_min=1, var_max=1, var_step=1,
-        )
-        from levelcross.errors import LevelCrossError
-
         with pytest.raises(LevelCrossError):
-            build_sweep(bad)
+            evaluate_sweep(
+                parse_spec("exp:1"), parse_spec("exp:1"), SweepGrid(1, 1, 1), (),
+                u=10.0, horizon=100.0,
+            )

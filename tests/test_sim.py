@@ -10,15 +10,14 @@ from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.sim import (
     LcgStream,
-    SweepGrid,
     first_crossing_time,
     lcg_next,
     next_uniform,
     simulate_conditional,
     substream_seed,
-    sweep_c,
     wilson_interval,
 )
+from levelcross.sweep import SweepGrid, sweep_c
 
 
 class TestLcg:
@@ -309,7 +308,7 @@ class TestSweep:
         def broken(t_dist, y_dist):
             raise ZeroDivisionError("broken constants")
 
-        monkeypatch.setattr("levelcross.sim.constants_for", broken)
+        monkeypatch.setattr("levelcross.sweep.constants_for", broken)
         with pytest.raises(ZeroDivisionError):
             sweep_c(Exponential(1.0), Exponential(1.0), 10.0, 0.0, 20.0,
                     SweepGrid(1.0, 1.0, 0.1), 10, 1)
