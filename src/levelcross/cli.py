@@ -39,8 +39,11 @@ def parse_dist_spec(spec: str) -> Distribution:
     return dist
 
 
-def _pair(args: argparse.Namespace) -> tuple[Distribution, Distribution]:
-    return parse_dist_spec(args.t), parse_dist_spec(args.y)
+def _pair(args: argparse.Namespace, expansion: bool) -> tuple[Distribution, Distribution]:
+    """Parse --t and --y, warning about a heavy Pareto tail only when the
+    command evaluates the expansion or its constants."""
+    parse = parse_dist_spec if expansion else parse_spec
+    return parse(args.t), parse(args.y)
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -79,13 +82,13 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    t_dist, y_dist = _pair(args)
+    t_dist, y_dist = _pair(args, expansion=True)
     _print_constants(t_dist, y_dist, constants_for(t_dist, y_dist))
     return 0
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    t_dist, y_dist = _pair(args)
+    t_dist, y_dist = _pair(args, expansion=True)
     k = constants_for(t_dist, y_dist)
     res = corrected_expansion(CrossingQuery(args.u, args.c, args.v, args.horizon), k)
     _print_constants(t_dist, y_dist, k)
@@ -97,7 +100,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    model = exp_pair_model(*_pair(args))
+    model = exp_pair_model(*_pair(args, expansion=False))
     value = exact_conditional(model, CrossingQuery(args.u, args.c, args.v, args.horizon))
     print(f"exact = {_fmt(value)}")
     return 0
@@ -105,7 +108,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    t_dist, y_dist = _pair(args)
+    t_dist, y_dist = _pair(args, expansion=False)
     horizon = sim_horizon(args.horizon, args.inf_cap)
     est = simulate_conditional(t_dist, y_dist, args.u, args.c, args.v, horizon, args.trials, seed)
     print(f"estimate = {_fmt(est.estimate)}")
@@ -118,8 +121,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    t_dist, y_dist = _pair(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    t_dist, y_dist = _pair(args, expansion=not {"main", "corrected"}.isdisjoint(methods))
     result = evaluate_sweep(
         t_dist, y_dist, SweepGrid(args.min, args.max, args.step), methods,
         u=args.u, v=args.v, var=args.var, c=args.c, horizon=args.horizon,

@@ -12,9 +12,10 @@ The integrand is formed entirely in log space: at t = 1000 the Bessel
 argument exceeds 2000 and I_1 alone overflows, while log I_1 minus the
 exponential decay stays bounded.
 
+The integral runs on adaptive Gauss-Kronrod (``integrate_log_scaled``).
 ``series_oracle`` evaluates the same probability from the renewal-theoretic
-series (Erlang convolution densities against a Poisson-type count law) and
-serves as an independent cross-check.
+series (Erlang convolution densities against a Poisson-type count law),
+integrated by adaptive Simpson, and serves as an independent cross-check.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .approx import CrossingQuery
 from .errors import SeriesTruncationError
-from .quadrature import adaptive_simpson, integrate_log_scaled
+from .quadrature import adaptive_simpson, gauss_kronrod, integrate_log_scaled
 from .specfun import log_bessel_i1
 
 __all__ = [
@@ -58,7 +59,12 @@ def infinite_horizon_cap(q: CrossingQuery) -> float:
 
 
 def exact_conditional(m: ExpExpModel, q: CrossingQuery, rel_tol: float = 1e-10) -> float:
-    """Exact P{v < tau <= t | first renewal at v} for the exponential pair."""
+    """Exact P{v < tau <= t | first renewal at v} for the exponential pair.
+
+    ``rel_tol`` is relative to the Bessel integral.  A tolerance the
+    quadrature cannot meet within its interval budget raises
+    QuadratureError.
+    """
     t = infinite_horizon_cap(q) if q.t == math.inf else q.t
     span = t - q.v
     if span <= 0.0:
@@ -153,7 +159,9 @@ def unconditional_exp_first_renewal(
 
     Splits into the immediate-crossing term (jump at the first renewal
     already exceeds the level) plus the integral over the first-renewal
-    time v of the conditional probability.
+    time v of the conditional probability.  That integral runs on
+    :func:`gauss_kronrod` with ``rel_tol`` as its absolute tolerance; each
+    node is an ``exact_conditional`` value at rel_tol 1e-9.
     """
     if not (u > 0.0 and c > 0.0):
         raise ValueError("need u > 0 and c > 0")
@@ -168,5 +176,5 @@ def unconditional_exp_first_renewal(
         q = CrossingQuery(u=u, c=c, v=v, t=t)
         return exact_conditional(m, q, rel_tol=1e-9) * math.exp(-m.lam * v)
 
-    second = m.lam * adaptive_simpson(integrand, 0.0, t, rel_tol, initial_panels=32)
+    second = m.lam * gauss_kronrod(integrand, 0.0, t, abs_tol=rel_tol)
     return first + second

@@ -1,11 +1,58 @@
-"""Adaptive Simpson quadrature used by the oracles and the exact formula."""
+"""Quadrature: adaptive Gauss-Kronrod for the shipped exact path, Simpson
+for the test-only oracles.
+
+``gauss_kronrod`` is the QUADPACK QAG scheme (Piessens et al., 1983) with
+the 7-point Gauss / 15-point Kronrod pair: it always bisects the interval
+whose |K15 - G7| is largest, and gives up with ``QuadratureError`` once
+``MAX_INTERVALS`` intervals are in use, so its work is bounded whatever
+tolerance is asked for.  ``integrate_log_scaled`` runs it on the
+peak-scaled Bessel integrand of the exact formula, and the unconditional
+value runs it over the first renewal time.
+
+``adaptive_simpson`` (recursive, with a depth limit) is kept for the
+oracles ``series_oracle`` and ``integral_oracle``, so that the cross-checks
+against the exact path run on an independent integrator.
+"""
 
 import math
 from typing import Callable
 
 from .errors import QuadratureError
 
-__all__ = ["adaptive_simpson", "integrate_log_scaled"]
+__all__ = ["adaptive_simpson", "gauss_kronrod", "integrate_log_scaled"]
+
+# bisections stop, and QuadratureError is raised, at this many intervals
+MAX_INTERVALS = 1000
+# integrate_log_scaled looks for the peak at the ends of this many panels
+_SCAN_PANELS = 32
+
+# Kronrod abscissae on [0, 1), outermost first; the odd-indexed ones and 0
+# are the 7-point Gauss abscissae.  Weights from QUADPACK's qk15.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WGK_CENTRE = 0.209482141084727828012999174891714
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG_CENTRE = 0.417959183673469387755102040816327
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -68,29 +115,85 @@ def adaptive_simpson(
     return total
 
 
+def _g7k15(f, a, b):
+    """(K15 estimate, |K15 - G7|) of the integral of f over [a, b]."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(centre)
+    kronrod = _WGK_CENTRE * fc
+    gauss = _WG_CENTRE * fc
+    for j, x in enumerate(_XGK):
+        dx = half * x
+        pair = f(centre - dx) + f(centre + dx)
+        kronrod += _WGK[j] * pair
+        if j & 1:
+            gauss += _WG[j >> 1] * pair
+    return kronrod * half, abs((kronrod - gauss) * half)
+
+
+def gauss_kronrod(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    abs_tol: float = 0.0,
+    rel_tol: float = 0.0,
+) -> float:
+    """Integrate f over [a, b] by globally adaptive G7K15 (QUADPACK QAG).
+
+    Stops when the summed |K15 - G7| of all intervals is at most
+    ``max(abs_tol, rel_tol * |integral|)``.  Each step bisects the interval
+    with the largest |K15 - G7|.  f is evaluated only inside (a, b).
+
+    Raises QuadratureError when the tolerance is not met with
+    ``MAX_INTERVALS`` intervals (at most 15 * (2 * MAX_INTERVALS - 1)
+    evaluations of f): below the round-off floor no bisection can meet it.
+    """
+    if not (b > a):
+        return 0.0
+    value, err = _g7k15(f, a, b)
+    parts = [(err, a, b, value)]
+    while True:
+        total = math.fsum(p[3] for p in parts)
+        err = math.fsum(p[0] for p in parts)
+        tol = max(abs_tol, rel_tol * abs(total))
+        if err <= tol:
+            return total
+        if len(parts) >= MAX_INTERVALS:
+            raise QuadratureError(
+                f"Gauss-Kronrod quadrature on [{a:g}, {b:g}] used {MAX_INTERVALS} "
+                f"intervals with error estimate {err:.3g} > {tol:.3g}"
+            )
+        worst = max(parts)
+        parts.remove(worst)
+        _, lo, hi, _ = worst
+        mid = 0.5 * (lo + hi)
+        left, left_err = _g7k15(f, lo, mid)
+        right, right_err = _g7k15(f, mid, hi)
+        parts.append((left_err, lo, mid, left))
+        parts.append((right_err, mid, hi, right))
+
+
 def integrate_log_scaled(
     log_f: Callable[[float], float],
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    scan_points: int = 256,
-    max_depth: int = 60,
 ) -> tuple[float, float]:
     """Integrate exp(log_f) over [a, b] when exp(log_f) would over/underflow.
 
     Returns ``(log_scale, value)`` with the integral equal to
-    ``exp(log_scale) * value``.  A coarse scan locates the maximum of the
+    ``exp(log_scale) * value``.  A 33-point scan locates the maximum of the
     log-integrand, the integrand is rescaled by it, and the scaled profile
-    (bounded by ~1) is integrated adaptively to ``rel_tol`` relative to a
-    scan-based estimate of its mass.
+    (bounded by ~1) goes to :func:`gauss_kronrod` with relative tolerance
+    ``rel_tol``.  That bounds the work: ``QuadratureError`` is raised when
+    ``MAX_INTERVALS`` intervals do not reach ``rel_tol`` (for example a
+    tolerance below the round-off floor, such as 1e-16), and when the scan
+    misses a peak so narrow and high that the scaled integrand overflows.
     """
     if not (b > a):
         return 0.0, 0.0
-    n = scan_points
-    h = (b - a) / n
-    xs = [a + i * h for i in range(n + 1)]
-    logs = [log_f(x) for x in xs]
-    peak = max(logs)
+    h = (b - a) / _SCAN_PANELS
+    peak = max(log_f(a + i * h) for i in range(_SCAN_PANELS + 1))
     if peak == -math.inf:
         return 0.0, 0.0
 
@@ -98,9 +201,10 @@ def integrate_log_scaled(
         lv = log_f(x) - peak
         return math.exp(lv) if lv > -745.0 else 0.0
 
-    # trapezoid mass of the scaled profile, as the tolerance scale
-    vals = [math.exp(lv - peak) if lv - peak > -745.0 else 0.0 for lv in logs]
-    coarse = h * (0.5 * (vals[0] + vals[-1]) + sum(vals[1:-1]))
-    tol = rel_tol * max(coarse, h)
-    value = adaptive_simpson(scaled, a, b, tol, max_depth=max_depth, initial_panels=n)
-    return peak, value
+    try:
+        return peak, gauss_kronrod(scaled, a, b, rel_tol=rel_tol)
+    except OverflowError:
+        raise QuadratureError(
+            f"the scaled integrand overflowed on [{a:g}, {b:g}]: the scan "
+            f"missed a peak far above its maximum {peak:.6g}"
+        ) from None

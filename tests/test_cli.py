@@ -190,17 +190,36 @@ class TestSweepCommand:
         assert code == 0
         assert [w.category for w in caught] == [RuntimeWarning]
 
+    @pytest.mark.parametrize(
+        "argv, warned",
+        [
+            (["constants", "--t", "exp:1", "--y", "pareto:3.5,0.35"], 1),
+            (["approx", "--t", "exp:1", "--y", "pareto:3.5,0.35", "--u", "10", "--c", "1"], 1),
+            (["simulate", "--t", "exp:1", "--y", "pareto:3.5,0.35", "--u", "10", "--c", "1",
+              "--horizon", "50", "--trials", "20"], 0),
+            (["sweep", "--t", "exp:1", "--y", "pareto:3.5,0.35", "--u", "10", "--horizon", "50",
+              "--min", "1", "--max", "1.2", "--step", "0.1", "--methods", "sim",
+              "--trials", "20"], 0),
+        ],
+        ids=["constants", "approx", "simulate", "sweep-sim"],
+    )
+    def test_heavy_pareto_warns_only_with_expansion(self, argv, warned, capsys):
+        # the warning concerns the corrected expansion and its constants
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert [w.category for w in caught] == [RuntimeWarning] * warned
+
     def test_sim_only_sweep_of_moment_poor_law(self, tmp_path, capsys):
         # Pareto shape 2.5 has no third moment: no constants, but simulation runs
         out = tmp_path / "p.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, stdout, _ = run_cli(
-                ["sweep", "--t", "pareto:2.5,1", "--y", "exp:1", "--u", "10",
-                 "--horizon", "50", "--min", "1", "--max", "1.2", "--step", "0.1",
-                 "--methods", "sim", "--trials", "50", "--out", str(out)],
-                capsys,
-            )
+        code, stdout, _ = run_cli(
+            ["sweep", "--t", "pareto:2.5,1", "--y", "exp:1", "--u", "10",
+             "--horizon", "50", "--min", "1", "--max", "1.2", "--step", "0.1",
+             "--methods", "sim", "--trials", "50", "--out", str(out)],
+            capsys,
+        )
         assert code == 0
         assert out.read_text().split("\n")[0] == "x,sim,sim_ci_low,sim_ci_high"
         kv = parse_kv(stdout)

@@ -2,12 +2,15 @@
 the unconditional variant with an exponential first interval."""
 
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelcross.approx import CrossingQuery
 from levelcross.distributions import Exponential
-from levelcross.errors import SeriesTruncationError
+from levelcross.errors import QuadratureError, SeriesTruncationError
 from levelcross.exact import (
     ExpExpModel,
     exact_conditional,
@@ -71,6 +74,39 @@ class TestExactConditional:
         )
 
 
+class TestGoldens:
+    # Recorded from the recursive-Simpson exact path (256-point scan,
+    # rel_tol 1e-10), one query from each group of the benchmark's exact
+    # workload; at rel_tol 1e-13 that path agreed with them to 1.4e-14.
+    CONDITIONAL = [
+        ((50.0, 1.0, 0.0, 1000.0), 0.26944999765401595),
+        ((10.0, 1.2, 0.0, math.inf), 0.1888302029077985),
+        ((10.0, 1.0, 7.5, 100.0), 0.2186357528132783),
+    ]
+
+    @pytest.mark.parametrize("point, want", CONDITIONAL)
+    def test_conditional(self, point, want):
+        assert exact_conditional(UNIT, CrossingQuery(*point)) == pytest.approx(want, rel=1e-12)
+
+    def test_unconditional(self):
+        val = unconditional_exp_first_renewal(UNIT, 10.0, 1.0, 100.0)
+        assert val == pytest.approx(0.4479104123967634, abs=1e-9)
+
+
+class TestWorkBudget:
+    def test_tight_tolerance_at_infinite_horizon_finishes(self):
+        start = time.perf_counter()
+        val = exact_conditional(UNIT, CrossingQuery(10.0, 1.2, 0.0, math.inf), rel_tol=1e-14)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= val <= 1.0
+        assert val == pytest.approx(0.1888302029077985, rel=1e-12)
+
+    def test_unreachable_tolerance_raises(self):
+        # below the round-off floor the interval budget ends the bisections
+        with pytest.raises(QuadratureError):
+            exact_conditional(UNIT, CrossingQuery(10.0, 1.2, 0.0, math.inf), rel_tol=1e-18)
+
+
 class TestSeriesOracle:
     def test_matches_exact_on_grid(self):
         for u in (5.0, 20.0):
@@ -96,6 +132,23 @@ class TestSeriesOracle:
     def test_insufficient_truncation_raises(self):
         with pytest.raises(SeriesTruncationError):
             series_oracle(UNIT, CrossingQuery(10.0, 1.0, 0.0, 50.0), nmax=3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.floats(0.5, 30.0),
+        c=st.floats(0.2, 2.5),
+        v=st.floats(0.0, 20.0),
+        span=st.floats(0.5, 80.0),
+        more=st.floats(0.0, 50.0),
+    )
+    def test_exact_property(self, u, c, v, span, more):
+        # Gauss-Kronrod exact path against the Simpson-integrated series
+        q = CrossingQuery(u, c, v, v + span)
+        val = exact_conditional(UNIT, q)
+        assert 0.0 <= val <= 1.0 + 1e-12
+        assert abs(val - series_oracle(UNIT, q)) <= 1e-8
+        later = exact_conditional(UNIT, CrossingQuery(u, c, v, v + span + more))
+        assert later >= val - 1e-12
 
     def test_nmax_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,12 @@ import math
 import pytest
 
 from levelcross.errors import QuadratureError
-from levelcross.quadrature import adaptive_simpson, integrate_log_scaled
+from levelcross.quadrature import (
+    MAX_INTERVALS,
+    adaptive_simpson,
+    gauss_kronrod,
+    integrate_log_scaled,
+)
 
 
 def test_polynomial_exact():
@@ -51,3 +56,53 @@ def test_log_scaled_handles_huge_offsets():
 def test_log_scaled_all_underflow():
     log_scale, mass = integrate_log_scaled(lambda y: -math.inf, 0.0, 1.0)
     assert mass == 0.0
+
+
+def test_gauss_kronrod_polynomial_in_one_rule():
+    # K15 and G7 are both exact up to degree 13, so one rule suffices
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 7.0 * x**6 - x**3
+
+    assert gauss_kronrod(f, -1.0, 2.0, abs_tol=1e-12) == pytest.approx(125.25, rel=1e-14)
+    assert len(calls) == 15
+
+
+def test_gauss_kronrod_sine_and_empty_interval():
+    assert gauss_kronrod(math.sin, 0, math.pi, abs_tol=1e-12) == pytest.approx(2.0, abs=1e-12)
+    assert gauss_kronrod(lambda x: 1.0, 2.0, 2.0, abs_tol=1e-8) == 0.0
+    assert gauss_kronrod(lambda x: 1.0, 3.0, 2.0, abs_tol=1e-8) == 0.0
+
+
+def test_gauss_kronrod_never_evaluates_the_ends():
+    # 1/sqrt(x) is infinite at 0; the rule only samples interior points
+    assert gauss_kronrod(lambda x: x**-0.5, 0.0, 1.0, abs_tol=1e-9) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_gauss_kronrod_relative_tolerance():
+    # the tolerance follows the size of the integral, not an absolute scale
+    val = gauss_kronrod(lambda x: 1e-30 * math.exp(-x), 0.0, 50.0, rel_tol=1e-12)
+    assert val == pytest.approx(1e-30 * -math.expm1(-50.0), rel=1e-12)
+
+
+def test_log_scaled_unreachable_tolerance_raises_after_bounded_work():
+    # below the round-off floor no bisection helps; the interval budget ends it
+    calls = []
+
+    def log_f(y):
+        calls.append(y)
+        return 1000.0 - (y - 3.0) ** 2
+
+    with pytest.raises(QuadratureError, match="intervals"):
+        integrate_log_scaled(log_f, 0.0, 10.0, rel_tol=1e-16)
+    # the 33-point scan, one rule, then two rules per bisection
+    assert len(calls) <= 33 + 15 * (2 * MAX_INTERVALS - 1)
+
+
+def test_log_scaled_missed_peak_raises():
+    # a spike far narrower than the scan spacing, 2000 above the scanned max
+    log_f = lambda y: 2000.0 * math.exp(-(((y - 0.3) / 1e-3) ** 2))
+    with pytest.raises(QuadratureError, match="missed a peak"):
+        integrate_log_scaled(log_f, 0.0, 1.0)
