@@ -6,8 +6,9 @@ the 7-point Gauss / 15-point Kronrod pair: it always bisects the interval
 whose |K15 - G7| is largest, and gives up with ``QuadratureError`` once
 ``MAX_INTERVALS`` intervals are in use, so its work is bounded whatever
 tolerance is asked for.  ``integrate_log_scaled`` runs it on the
-peak-scaled Bessel integrand of the exact formula, and the unconditional
-value runs it over the first renewal time.
+peak-scaled Bessel integrand of the exact formula, with breakpoints that
+close in on the scanned peak, and the unconditional value runs it over the
+first renewal time.
 
 ``adaptive_simpson`` (recursive, with a depth limit) is kept for the
 oracles ``series_oracle`` and ``integral_oracle``, so that the cross-checks
@@ -25,6 +26,10 @@ __all__ = ["adaptive_simpson", "gauss_kronrod", "integrate_log_scaled"]
 MAX_INTERVALS = 1000
 # integrate_log_scaled looks for the peak at the ends of this many panels
 _SCAN_PANELS = 32
+# ... then halves the distance to the breakpoints on each side of the scanned
+# peak until the log-integrand there is at most this far below the peak
+_PEAK_DROP = 200.0
+_PEAK_HALVINGS = 52
 
 # Kronrod abscissae on [0, 1), outermost first; the odd-indexed ones and 0
 # are the 7-point Gauss abscissae.  Weights from QUADPACK's qk15.
@@ -131,6 +136,33 @@ def _g7k15(f, a, b):
     return kronrod * half, abs((kronrod - gauss) * half)
 
 
+def _qag(f, edges, abs_tol, rel_tol):
+    """Globally adaptive G7K15 over the intervals between sorted ``edges``."""
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        value, err = _g7k15(f, lo, hi)
+        parts.append((err, lo, hi, value))
+    while True:
+        total = math.fsum(p[3] for p in parts)
+        err = math.fsum(p[0] for p in parts)
+        tol = max(abs_tol, rel_tol * abs(total))
+        if err <= tol:
+            return total
+        if len(parts) >= MAX_INTERVALS:
+            raise QuadratureError(
+                f"Gauss-Kronrod quadrature on [{edges[0]:g}, {edges[-1]:g}] used "
+                f"{MAX_INTERVALS} intervals with error estimate {err:.3g} > {tol:.3g}"
+            )
+        worst = max(parts)
+        parts.remove(worst)
+        _, lo, hi, _ = worst
+        mid = 0.5 * (lo + hi)
+        left, left_err = _g7k15(f, lo, mid)
+        right, right_err = _g7k15(f, mid, hi)
+        parts.append((left_err, lo, mid, left))
+        parts.append((right_err, mid, hi, right))
+
+
 def gauss_kronrod(
     f: Callable[[float], float],
     a: float,
@@ -150,27 +182,19 @@ def gauss_kronrod(
     """
     if not (b > a):
         return 0.0
-    value, err = _g7k15(f, a, b)
-    parts = [(err, a, b, value)]
-    while True:
-        total = math.fsum(p[3] for p in parts)
-        err = math.fsum(p[0] for p in parts)
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err <= tol:
-            return total
-        if len(parts) >= MAX_INTERVALS:
-            raise QuadratureError(
-                f"Gauss-Kronrod quadrature on [{a:g}, {b:g}] used {MAX_INTERVALS} "
-                f"intervals with error estimate {err:.3g} > {tol:.3g}"
-            )
-        worst = max(parts)
-        parts.remove(worst)
-        _, lo, hi, _ = worst
-        mid = 0.5 * (lo + hi)
-        left, left_err = _g7k15(f, lo, mid)
-        right, right_err = _g7k15(f, mid, hi)
-        parts.append((left_err, lo, mid, left))
-        parts.append((right_err, mid, hi, right))
+    return _qag(f, (a, b), abs_tol, rel_tol)
+
+
+def _peak_reach(log_f, x, peak, h, log_at_h):
+    """Largest d = h / 2^k (k < _PEAK_HALVINGS) with log_f(x + d) within
+    _PEAK_DROP of ``peak``; ``log_at_h`` is log_f(x + h), and h may be < 0."""
+    d, lv = h, log_at_h
+    for _ in range(_PEAK_HALVINGS):
+        if lv - peak >= -_PEAK_DROP:
+            break
+        d *= 0.5
+        lv = log_f(x + d)
+    return d
 
 
 def integrate_log_scaled(
@@ -183,26 +207,47 @@ def integrate_log_scaled(
 
     Returns ``(log_scale, value)`` with the integral equal to
     ``exp(log_scale) * value``.  A 33-point scan locates the maximum of the
-    log-integrand, the integrand is rescaled by it, and the scaled profile
-    (bounded by ~1) goes to :func:`gauss_kronrod` with relative tolerance
-    ``rel_tol``.  That bounds the work: ``QuadratureError`` is raised when
-    ``MAX_INTERVALS`` intervals do not reach ``rel_tol`` (for example a
-    tolerance below the round-off floor, such as 1e-16), and when the scan
-    misses a peak so narrow and high that the scaled integrand overflows.
+    log-integrand, and the integrand is rescaled by it.  A peak narrower
+    than the scan spacing would fall between the Kronrod nodes of a rule
+    over [a, b], every node would underflow, and the rule would report a
+    zero integral with zero error.  So the scaled profile (bounded by ~1)
+    goes to the adaptive G7K15 loop with breakpoints at the scanned peak
+    and on each side of it, at the distance h / 2^k (h the scan spacing)
+    where the log-integrand first lies within 200 of the peak: the Kronrod
+    nodes nearest the peak then sample it.
+
+    The loop runs to relative tolerance ``rel_tol`` and bounds the work:
+    ``QuadratureError`` is raised when ``MAX_INTERVALS`` intervals do not
+    reach ``rel_tol`` (for example a tolerance below the round-off floor,
+    such as 1e-16), and when the scan misses a peak so narrow and high
+    that the scaled integrand overflows.
     """
     if not (b > a):
         return 0.0, 0.0
     h = (b - a) / _SCAN_PANELS
-    peak = max(log_f(a + i * h) for i in range(_SCAN_PANELS + 1))
+    xs = [a + i * h for i in range(_SCAN_PANELS)] + [b]
+    logs = [log_f(x) for x in xs]
+    k = max(range(_SCAN_PANELS + 1), key=logs.__getitem__)
+    peak = logs[k]
     if peak == -math.inf:
         return 0.0, 0.0
 
-    def scaled(x: float) -> float:
-        lv = log_f(x) - peak
+    x = xs[k]
+    edges = [a]
+    if k > 0:
+        edges.append(max(a, x + _peak_reach(log_f, x, peak, -h, logs[k - 1])))
+        edges.append(x)
+    if k < _SCAN_PANELS:
+        edges.append(min(b, x + _peak_reach(log_f, x, peak, h, logs[k + 1])))
+    edges.append(b)
+    edges = [e for i, e in enumerate(edges) if i == 0 or e > edges[i - 1]]
+
+    def scaled(y: float) -> float:
+        lv = log_f(y) - peak
         return math.exp(lv) if lv > -745.0 else 0.0
 
     try:
-        return peak, gauss_kronrod(scaled, a, b, rel_tol=rel_tol)
+        return peak, _qag(scaled, edges, 0.0, rel_tol)
     except OverflowError:
         raise QuadratureError(
             f"the scaled integrand overflowed on [{a:g}, {b:g}]: the scan "

@@ -2,15 +2,16 @@
 the unconditional variant with an exponential first interval."""
 
 import math
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelcross import exact
 from levelcross.approx import CrossingQuery
 from levelcross.distributions import Exponential
 from levelcross.errors import QuadratureError, SeriesTruncationError
+from levelcross.quadrature import MAX_INTERVALS
 from levelcross.exact import (
     ExpExpModel,
     exact_conditional,
@@ -92,19 +93,65 @@ class TestGoldens:
         val = unconditional_exp_first_renewal(UNIT, 10.0, 1.0, 100.0)
         assert val == pytest.approx(0.4479104123967634, abs=1e-9)
 
+    # Strong drift: the Bessel integrand falls from its peak at y = 0 at
+    # rate about mu*c + lam, so over a long span its whole mass lies
+    # between the scan's first two points.  Recorded from the
+    # recursive-Simpson path, whose 256 panels sampled y = 0; checked here
+    # to the promised rel_tol 1e-10.
+    STRONG_DRIFT = [
+        ((10.0, 30.0, 0.0, math.inf), 1.7960776312113508e-05),
+        ((50.0, 500.0, 0.0, 1000.0), 2.0284839224879203e-23),
+        ((10.0, 1000.0, 0.0, math.inf), 4.562768797225942e-07),
+    ]
+
+    @pytest.mark.parametrize("point, want", STRONG_DRIFT)
+    def test_strong_drift(self, point, want):
+        assert exact_conditional(UNIT, CrossingQuery(*point)) == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_strong_drift_does_not_depend_on_the_horizon(self):
+        # all the mass sits within a few 1/(mu*c) of the first renewal
+        short = exact_conditional(UNIT, CrossingQuery(10.0, 1000.0, 0.0, 1.0))
+        for t in (50.0, 1000.0, math.inf):
+            val = exact_conditional(UNIT, CrossingQuery(10.0, 1000.0, 0.0, t))
+            assert val == pytest.approx(short, rel=1e-10, abs=0)
+
+    def test_strong_drift_matches_series(self):
+        q = CrossingQuery(10.0, 30.0, 0.0, 5.0)
+        assert exact_conditional(UNIT, q) == pytest.approx(series_oracle(UNIT, q), rel=1e-8, abs=0)
+
+
+def _count_bessel_calls(monkeypatch):
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    real = exact.log_bessel_i1
+    monkeypatch.setattr(exact, "log_bessel_i1", counted)
+    return calls
+
+
+# the 33-point scan, at most 52 halvings on each side of the peak, then at
+# most 2 * MAX_INTERVALS - 1 rules of 15 nodes
+WORK_BOUND = 33 + 2 * 52 + 15 * (2 * MAX_INTERVALS - 1)
+
 
 class TestWorkBudget:
-    def test_tight_tolerance_at_infinite_horizon_finishes(self):
-        start = time.perf_counter()
+    def test_tight_tolerance_at_infinite_horizon_finishes(self, monkeypatch):
+        calls = _count_bessel_calls(monkeypatch)
         val = exact_conditional(UNIT, CrossingQuery(10.0, 1.2, 0.0, math.inf), rel_tol=1e-14)
-        assert time.perf_counter() - start < 1.0
+        # far inside the budget: a few dozen rules, not thousands
+        assert len(calls) <= WORK_BOUND // 20
         assert 0.0 <= val <= 1.0
         assert val == pytest.approx(0.1888302029077985, rel=1e-12)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         # below the round-off floor the interval budget ends the bisections
+        calls = _count_bessel_calls(monkeypatch)
         with pytest.raises(QuadratureError):
             exact_conditional(UNIT, CrossingQuery(10.0, 1.2, 0.0, math.inf), rel_tol=1e-18)
+        assert len(calls) <= WORK_BOUND
 
 
 class TestSeriesOracle:
@@ -148,7 +195,8 @@ class TestSeriesOracle:
         assert 0.0 <= val <= 1.0 + 1e-12
         assert abs(val - series_oracle(UNIT, q)) <= 1e-8
         later = exact_conditional(UNIT, CrossingQuery(u, c, v, v + span + more))
-        assert later >= val - 1e-12
+        # each value carries up to rel_tol 1e-10 of its integral
+        assert later >= val - 1e-9
 
     def test_nmax_validation(self):
         with pytest.raises(ValueError):

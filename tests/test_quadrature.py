@@ -97,8 +97,24 @@ def test_log_scaled_unreachable_tolerance_raises_after_bounded_work():
 
     with pytest.raises(QuadratureError, match="intervals"):
         integrate_log_scaled(log_f, 0.0, 10.0, rel_tol=1e-16)
-    # the 33-point scan, one rule, then two rules per bisection
-    assert len(calls) <= 33 + 15 * (2 * MAX_INTERVALS - 1)
+    # the 33-point scan, at most 52 halvings on each side of the peak, then
+    # at most 2 * MAX_INTERVALS - 1 rules
+    assert len(calls) <= 33 + 2 * 52 + 15 * (2 * MAX_INTERVALS - 1)
+
+
+@pytest.mark.parametrize("rate", [30.0, 1000.0, 1e5])
+def test_log_scaled_peak_at_the_end_of_a_long_interval(rate):
+    # all the mass lies within a few 1/rate of y = 0, far inside the first
+    # scan panel: a single rule over [0, 1e4] sees only underflow
+    log_scale, mass = integrate_log_scaled(lambda y: -rate * y, 0.0, 1e4)
+    assert math.exp(log_scale) * mass == pytest.approx(1.0 / rate, rel=1e-10, abs=0)
+
+
+def test_log_scaled_narrow_interior_peak_on_a_scan_point():
+    # a two-sided exponential spike of width 1e-3 at scan point 16 of 32
+    log_scale, mass = integrate_log_scaled(lambda y: 50.0 - 1e3 * abs(y - 5e3), 0.0, 1e4)
+    assert log_scale == 50.0
+    assert mass == pytest.approx(2e-3, rel=1e-10, abs=0)
 
 
 def test_log_scaled_missed_peak_raises():
