@@ -13,6 +13,9 @@ argument exceeds 2000 and I_1 alone overflows, while log I_1 minus the
 exponential decay stays bounded.
 
 The integral runs on adaptive Gauss-Kronrod (``integrate_log_scaled``).
+The unconditional value, with an exponential first interval too, is one
+integral of the same kind: that of the ruin-time density, an I_0 and an
+I_1 term (see ``unconditional_exp_first_renewal``).
 ``series_oracle`` evaluates the same probability from the renewal-theoretic
 series (Erlang convolution densities against a Poisson-type count law),
 integrated by adaptive Simpson, and serves as an independent cross-check.
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 from .approx import CrossingQuery
 from .errors import SeriesTruncationError
-from .quadrature import adaptive_simpson, gauss_kronrod, integrate_log_scaled
-from .specfun import log_bessel_i1
+from .quadrature import adaptive_simpson, integrate_log_scaled
+from .specfun import log_bessel_i0, log_bessel_i1
 
 __all__ = [
     "ExpExpModel",
@@ -157,24 +160,43 @@ def unconditional_exp_first_renewal(
 ) -> float:
     """P{tau <= t} when the first renewal interval is Exponential(lam) too.
 
-    Splits into the immediate-crossing term (jump at the first renewal
-    already exceeds the level) plus the integral over the first-renewal
-    time v of the conditional probability.  That integral runs on
-    :func:`gauss_kronrod` with ``rel_tol`` as its absolute tolerance; each
-    node is an ``exact_conditional`` value at rel_tol 1e-9.
+    This is the classical ruin problem with exponential claims, whose ruin
+    time has a density of closed form (Dickson & Willmot, ASTIN Bull. 35,
+    2005):
+
+        w(s) = lam e^{-lam s - mu(u + cs)}
+               * [u/(u+cs) I_0(2 sqrt z) + cs/(u+cs) I_1(2 sqrt z) / sqrt z],
+        z = lam mu s (u + cs),
+
+    with w(0) = lam e^{-mu u}, the rate of a crossing at the first jump.
+    The value is the single integral of w over [0, t], formed in log space
+    on :func:`integrate_log_scaled`; ``rel_tol`` is relative to it.  At
+    t = inf it is the ruin probability (lam/(c mu)) e^{-(mu - lam/c) u}
+    above the critical rate lam/mu, and 1 at or below it.
     """
     if not (u > 0.0 and c > 0.0):
         raise ValueError("need u > 0 and c > 0")
     if t <= 0.0:
         return 0.0
-    rate = m.lam + c * m.mu
-    first = m.lam * math.exp(-m.mu * u) / rate * -math.expm1(-rate * t)
+    if t == math.inf:
+        excess = m.mu - m.lam / c
+        return m.lam / (c * m.mu) * math.exp(-excess * u) if excess > 0.0 else 1.0
+    log_lam = math.log(m.lam)
+    prod = m.lam * m.mu
 
-    def integrand(v: float) -> float:
-        if v >= t:
-            return 0.0
-        q = CrossingQuery(u=u, c=c, v=v, t=t)
-        return exact_conditional(m, q, rel_tol=1e-9) * math.exp(-m.lam * v)
+    def log_density(s: float) -> float:
+        level = u + c * s
+        z = prod * s * level
+        if z <= 0.0:  # s = 0, where w(0) = lam e^{-mu u}
+            return log_lam - m.mu * u
+        x = 2.0 * math.sqrt(z)
+        a = math.log(u / level) + log_bessel_i0(x)
+        b = math.log(c * s / level) + log_bessel_i1(x) - 0.5 * math.log(z)
+        top = max(a, b)
+        return log_lam - m.lam * s - m.mu * level + top + math.log1p(math.exp(-abs(a - b)))
 
-    second = m.lam * gauss_kronrod(integrand, 0.0, t, abs_tol=rel_tol)
-    return first + second
+    log_scale, mass = integrate_log_scaled(log_density, 0.0, t, rel_tol=rel_tol)
+    if mass <= 0.0:
+        return 0.0
+    log_value = log_scale + math.log(mass)
+    return math.exp(log_value) if log_value > -745.0 else 0.0

@@ -5,10 +5,10 @@ for the test-only oracles.
 the 7-point Gauss / 15-point Kronrod pair: it always bisects the interval
 whose |K15 - G7| is largest, and gives up with ``QuadratureError`` once
 ``MAX_INTERVALS`` intervals are in use, so its work is bounded whatever
-tolerance is asked for.  ``integrate_log_scaled`` runs it on the
-peak-scaled Bessel integrand of the exact formula, with breakpoints that
-close in on the scanned peak, and the unconditional value runs it over the
-first renewal time.
+tolerance is asked for.  ``integrate_log_scaled`` runs it on a
+peak-scaled Bessel integrand, with breakpoints that close in on the
+scanned peak: the exact conditional formula's, and the ruin-time density
+behind the unconditional value.
 
 ``adaptive_simpson`` (recursive, with a depth limit) is kept for the
 oracles ``series_oracle`` and ``integral_oracle``, so that the cross-checks

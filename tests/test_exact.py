@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from levelcross import exact
 from levelcross.approx import CrossingQuery
@@ -93,6 +94,21 @@ class TestGoldens:
         val = unconditional_exp_first_renewal(UNIT, 10.0, 1.0, 100.0)
         assert val == pytest.approx(0.4479104123967634, abs=1e-9)
 
+    # P{tau <= t} by mpmath at 40 digits: mpmath.quad of the ruin-time
+    # density w(s) (mpmath.besseli for I_0 and I_1) over [0, 0.01] and
+    # doubling pieces up to t.  The nested integral over the first renewal
+    # collapsed to its immediate-crossing term 2.27e-5 at t = 1e4.
+    @pytest.mark.parametrize(
+        "args, want, rel",
+        [
+            ((10.0, 1.0, 1.0e4), 0.93801746718393, 1e-10),
+            ((200.0, 1.0, 50.0), 2.05042692682675e-35, 1e-9),
+        ],
+    )
+    def test_unconditional_density_route(self, args, want, rel):
+        val = unconditional_exp_first_renewal(UNIT, *args)
+        assert val == pytest.approx(want, rel=rel, abs=0)
+
     # Strong drift: the Bessel integrand falls from its peak at y = 0 at
     # rate about mu*c + lam, so over a long span its whole mass lies
     # between the scan's first two points.  Recorded from the
@@ -120,15 +136,18 @@ class TestGoldens:
         assert exact_conditional(UNIT, q) == pytest.approx(series_oracle(UNIT, q), rel=1e-8, abs=0)
 
 
-def _count_bessel_calls(monkeypatch):
+def _count_bessel_calls(monkeypatch, names=("log_bessel_i1",)):
     calls = []
 
-    def counted(z):
-        calls.append(z)
-        return real(z)
+    def counting(real):
+        def counted(z):
+            calls.append(z)
+            return real(z)
 
-    real = exact.log_bessel_i1
-    monkeypatch.setattr(exact, "log_bessel_i1", counted)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(exact, name, counting(getattr(exact, name)))
     return calls
 
 
@@ -214,6 +233,32 @@ class TestAgainstSimulation:
         assert abs(est.estimate - want) <= half
 
 
+def _nested_unconditional(model, u, c, t):
+    """P{tau <= t} by the nested route: the immediate-crossing term plus
+    lam * int_0^t e^{-lam v} exact_conditional(v) dv.
+
+    The outer integral runs on scipy's QUADPACK over [0, 1] and doubling
+    pieces beyond, so that its nodes sample the peak at v = 0 however long
+    the horizon; a single rule over [0, t] misses it once e^{-lam v} has
+    underflowed at its nearest node.
+    """
+    rate = model.lam + c * model.mu
+    first = model.lam * math.exp(-model.mu * u) / rate * -math.expm1(-rate * t)
+
+    def integrand(v):
+        q = CrossingQuery(u=u, c=c, v=v, t=t)
+        return exact_conditional(model, q, rel_tol=1e-12) * math.exp(-model.lam * v)
+
+    edges = [0.0, 1.0]
+    while edges[-1] < t:
+        edges.append(min(t, 2.0 * edges[-1]))
+    second = math.fsum(
+        quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+    return first + model.lam * second
+
+
 def _simulate_unconditional(model, u, c, t, n, seed):
     # independent oracle: the first interval is exponential too, and a first
     # jump above u + c*T1 counts as a crossing at T1 itself
@@ -257,6 +302,42 @@ class TestUnconditional:
         est = _simulate_unconditional(UNIT, u, c, t, n, 99)
         se = math.sqrt(want * (1.0 - want) / n)
         assert abs(est - want) <= 4.0 * se
+
+    @pytest.mark.parametrize("c", [0.8, 1.0, 1.3])
+    @pytest.mark.parametrize("t", [50.0, 100.0, 1000.0])
+    def test_matches_nested_route(self, c, t):
+        val = unconditional_exp_first_renewal(UNIT, 10.0, c, t)
+        assert abs(val - _nested_unconditional(UNIT, 10.0, c, t)) <= 1e-8
+
+    def test_infinite_horizon_closed_form(self):
+        # ruin probability (lam/(c mu)) e^{-(mu - lam/c) u} above c* = lam/mu
+        model = ExpExpModel(1.2, 0.8)
+        u, c = 10.0, 1.95
+        psi = model.lam / (c * model.mu) * math.exp(-(model.mu - model.lam / c) * u)
+        assert unconditional_exp_first_renewal(model, u, c, math.inf) == pytest.approx(psi, rel=1e-15)
+        assert unconditional_exp_first_renewal(model, u, 0.5, math.inf) == 1.0
+        # at c* the two branches meet: ruin is certain there too
+        assert unconditional_exp_first_renewal(model, u, 1.5, math.inf) == pytest.approx(1.0, rel=1e-14)
+
+    def test_long_horizon_approaches_closed_form_from_below(self):
+        psi = unconditional_exp_first_renewal(UNIT, 10.0, 1.3, math.inf)
+        prev = 0.0
+        for t in (10.0, 100.0, 1000.0, 1.0e4):
+            val = unconditional_exp_first_renewal(UNIT, 10.0, 1.3, t)
+            # each value carries up to rel_tol 1e-8 of its integral
+            assert prev - 1e-10 <= val <= psi * (1.0 + 1e-12)
+            prev = val
+        assert val == pytest.approx(psi, rel=1e-12)
+
+    def test_stays_a_probability_below_the_critical_rate(self):
+        val = unconditional_exp_first_renewal(UNIT, 10.0, 0.8, 7000.0)
+        assert 1.0 - 1e-12 <= val <= 1.0 + 1e-12
+
+    def test_bessel_work(self, monkeypatch):
+        # the nested route made 17,250 log_bessel_i1 calls here
+        calls = _count_bessel_calls(monkeypatch, ("log_bessel_i0", "log_bessel_i1"))
+        unconditional_exp_first_renewal(UNIT, 10.0, 1.0, 100.0)
+        assert 0 < len(calls) <= 1000
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
