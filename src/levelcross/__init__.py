@@ -23,7 +23,6 @@ from .approx import (
     CrossingQuery,
     corrected_expansion,
     first_correction,
-    integral_oracle,
     main_term,
     second_correction,
 )
@@ -42,7 +41,6 @@ from .errors import (
     QuadratureError,
     SeriesTruncationError,
     SpecParseError,
-    UnsupportedPairError,
 )
 from .exact import (
     ExpExpModel,
@@ -55,7 +53,6 @@ from .moments import (
     ModelConstants,
     constants_for,
     model_constants_generic,
-    model_constants_lemma,
 )
 from .sim import (
     DEFAULT_SEED,
@@ -76,7 +73,6 @@ __all__ = [
     "CrossingQuery",
     "corrected_expansion",
     "first_correction",
-    "integral_oracle",
     "main_term",
     "second_correction",
     "Distribution",
@@ -91,7 +87,6 @@ __all__ = [
     "QuadratureError",
     "SeriesTruncationError",
     "SpecParseError",
-    "UnsupportedPairError",
     "ExpExpModel",
     "exact_conditional",
     "infinite_horizon_cap",
@@ -100,7 +95,6 @@ __all__ = [
     "ModelConstants",
     "constants_for",
     "model_constants_generic",
-    "model_constants_lemma",
     "DEFAULT_SEED",
     "LcgStream",
     "SimEstimate",

@@ -7,9 +7,7 @@ expansion adds two skewness corrections weighted by K_F and K_S:
 
     corrected(t) = main(t) + K_F * first(t) + K_S * second(t)
 
-All three integrals have closed forms built from the standard normal cdf;
-``integral_oracle`` integrates the defining integrands directly and exists
-to cross-check the closed forms in tests and diagnostics.
+All three integrals have closed forms built from the standard normal cdf.
 
 Every product of the shape exp(huge) * Phi(-huge) is evaluated as
 exp(A + log Phi(-B)); the plain product overflows long before the result
@@ -19,9 +17,7 @@ leaves [0, 1].
 import math
 from dataclasses import dataclass
 
-from .errors import QuadratureError
 from .moments import ModelConstants
-from .quadrature import adaptive_simpson
 from .specfun import log_std_normal_cdf, std_normal_cdf
 
 __all__ = [
@@ -31,7 +27,6 @@ __all__ = [
     "first_correction",
     "second_correction",
     "corrected_expansion",
-    "integral_oracle",
 ]
 
 
@@ -179,56 +174,3 @@ def corrected_expansion(q: CrossingQuery, k: ModelConstants) -> ApproxResult:
         correction_s=cs,
         corrected=m + k.kf(q.c) * cf + k.ks(q.c) * cs,
     )
-
-
-def _normal_pdf(x: float, mean: float, var: float) -> float:
-    return math.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-
-def integral_oracle(
-    kind: str, q: CrossingQuery, k: ModelConstants, tol: float = 1e-8
-) -> float:
-    """Direct quadrature of the defining integral for kind 'main', 'first'
-    or 'second'.  Requires a finite horizon.  Raises QuadratureError if the
-    refinement limit is reached before ``tol``."""
-    if q.t == math.inf:
-        raise QuadratureError("integral_oracle requires a finite horizon")
-    w = q.w
-    cm = q.c * k.M
-    var_scale = q.c * q.c * k.D2 / w
-    upper = q.c * (q.t - q.v) / w
-
-    if kind == "main":
-
-        def f(x: float) -> float:
-            return _normal_pdf(x, cm * (1.0 + x), var_scale * (1.0 + x)) / (1.0 + x)
-
-        prefactor = 1.0
-    elif kind == "first":
-
-        def f(x: float) -> float:
-            return (
-                (x - cm * (1.0 + x))
-                / (1.0 + x) ** 2
-                * _normal_pdf(x, cm * (1.0 + x), var_scale * (1.0 + x))
-            )
-
-        prefactor = 1.0
-    elif kind == "second":
-
-        def f(x: float) -> float:
-            return (
-                (x - cm * (1.0 + x)) ** 3
-                / (1.0 + x) ** 3
-                * _normal_pdf(x, cm * (1.0 + x), var_scale * (1.0 + x))
-            )
-
-        prefactor = w / (q.c * q.c * k.D2)
-    else:
-        raise ValueError(f"unknown integral kind {kind!r}")
-
-    if upper <= 0.0:
-        return 0.0
-    # 64 seed panels so the Gaussian ridge near x = cM/(1-cM) is never
-    # missed by the first Simpson estimate
-    return prefactor * adaptive_simpson(f, 0.0, upper, tol, initial_panels=64)

@@ -36,17 +36,11 @@ _BISECT_STEPS = 90
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Mean, variance and third central moment, with tail-finiteness flags.
-
-    ``third_raw_finite``/``fourth_raw_finite`` record whether E X^3 and
-    E X^4 exist; only the Pareto family can lose them.
-    """
+    """Mean, variance and third central moment."""
 
     mean: float
     variance: float
     central3: float
-    third_raw_finite: bool = True
-    fourth_raw_finite: bool = True
 
 
 class Distribution:
@@ -316,7 +310,7 @@ class Pareto(Distribution):
         mean = 1.0 / ((a - 1.0) * b)
         var = a / ((a - 1.0) ** 2 * (a - 2.0) * b**2)
         c3 = 2.0 * a * (a + 1.0) / ((a - 1.0) ** 3 * (a - 2.0) * (a - 3.0) * b**3)
-        return MomentSet(mean, var, c3, third_raw_finite=a > 3.0, fourth_raw_finite=a > 4.0)
+        return MomentSet(mean, var, c3)
 
     def spec_string(self) -> str:
         return f"pareto:{self.shape:g},{self.scale:g}"
@@ -350,7 +344,7 @@ def parse_spec(spec: str) -> Distribution:
             return Exponential(rate)
         if family == "erlang":
             rate, k = _parse_floats(body, 2, spec)
-            if k != int(k):
+            if not k.is_integer():
                 raise SpecParseError(f"{spec!r}: Erlang shape must be an integer, got {k!r}")
             return Erlang(rate, int(k))
         if family == "pareto":

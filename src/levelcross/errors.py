@@ -13,10 +13,6 @@ class MomentUndefinedError(LevelCrossError, ValueError):
     """A required moment does not exist for the given parameters."""
 
 
-class UnsupportedPairError(LevelCrossError, ValueError):
-    """No pair-specific closed form is available for this (T, Y) combination."""
-
-
 class QuadratureError(LevelCrossError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

@@ -54,9 +54,10 @@ def infinite_horizon_cap(q: CrossingQuery) -> float:
     """Horizon substituted for t = inf.
 
     Off the critical rate the integrand decays like
-    exp(-(sqrt(mu c) - sqrt(lam))^2 y) and the cap is generous; at the
-    critical rate the tail only decays like y^(-3/2), so treat capped
-    unbounded-horizon values there as plot-quality, not reference-quality.
+    exp(-(sqrt(mu c) - sqrt(lam))^2 y) and the cap is generous; near the
+    critical rate the tail only decays like y^(-3/2) and the cap cuts off
+    real mass: at (u, c, v) = (10, 1, 0) the capped value is 0.9436, the
+    true one 0.99995.
     """
     return q.v + max(1.0e4, 200.0 * q.w)
 
@@ -69,9 +70,6 @@ def exact_conditional(m: ExpExpModel, q: CrossingQuery, rel_tol: float = 1e-10) 
     QuadratureError.
     """
     t = infinite_horizon_cap(q) if q.t == math.inf else q.t
-    span = t - q.v
-    if span <= 0.0:
-        return 0.0
     b = q.v + q.u / q.c
     rate_sum = m.mu * q.c + m.lam
     prod = m.lam * m.mu * q.c
@@ -84,11 +82,8 @@ def exact_conditional(m: ExpExpModel, q: CrossingQuery, rel_tol: float = 1e-10) 
         z = 2.0 * math.sqrt(prod * (y + b) * y)
         return log_bessel_i1(z) - rate_sum * y - 0.5 * (math.log(y + b) + math.log(y))
 
-    log_scale, mass = integrate_log_scaled(log_integrand, 0.0, span, rel_tol=rel_tol)
-    if mass <= 0.0:
-        return 0.0
     log_pref = half_log_prod + math.log(b) - m.mu * (q.u + q.c * q.v)
-    log_value = log_pref + log_scale + math.log(mass)
+    log_value = log_pref + integrate_log_scaled(log_integrand, 0.0, t - q.v, rel_tol=rel_tol)
     return math.exp(log_value) if log_value > -745.0 else 0.0
 
 
@@ -172,12 +167,11 @@ def unconditional_exp_first_renewal(
     The value is the single integral of w over [0, t], formed in log space
     on :func:`integrate_log_scaled`; ``rel_tol`` is relative to it.  At
     t = inf it is the ruin probability (lam/(c mu)) e^{-(mu - lam/c) u}
-    above the critical rate lam/mu, and 1 at or below it.
+    above the critical rate lam/mu, and 1 at or below it; at t <= 0 it is
+    0, and a NaN horizon raises ValueError.
     """
-    if not (u > 0.0 and c > 0.0):
-        raise ValueError("need u > 0 and c > 0")
-    if t <= 0.0:
-        return 0.0
+    if not (u > 0.0 and c > 0.0) or math.isnan(t):
+        raise ValueError("need u > 0, c > 0 and a horizon t that is not NaN")
     if t == math.inf:
         excess = m.mu - m.lam / c
         return m.lam / (c * m.mu) * math.exp(-excess * u) if excess > 0.0 else 1.0
@@ -195,8 +189,5 @@ def unconditional_exp_first_renewal(
         top = max(a, b)
         return log_lam - m.lam * s - m.mu * level + top + math.log1p(math.exp(-abs(a - b)))
 
-    log_scale, mass = integrate_log_scaled(log_density, 0.0, t, rel_tol=rel_tol)
-    if mass <= 0.0:
-        return 0.0
-    log_value = log_scale + math.log(mass)
+    log_value = integrate_log_scaled(log_density, 0.0, t, rel_tol=rel_tol)
     return math.exp(log_value) if log_value > -745.0 else 0.0

@@ -1,18 +1,17 @@
 """Quadrature: adaptive Gauss-Kronrod for the shipped exact path, Simpson
-for the test-only oracles.
+for the oracles.
 
-``gauss_kronrod`` is the QUADPACK QAG scheme (Piessens et al., 1983) with
-the 7-point Gauss / 15-point Kronrod pair: it always bisects the interval
-whose |K15 - G7| is largest, and gives up with ``QuadratureError`` once
-``MAX_INTERVALS`` intervals are in use, so its work is bounded whatever
-tolerance is asked for.  ``integrate_log_scaled`` runs it on a
-peak-scaled Bessel integrand, with breakpoints that close in on the
-scanned peak: the exact conditional formula's, and the ruin-time density
-behind the unconditional value.
+``integrate_log_scaled`` integrates a peak-scaled Bessel integrand (the
+exact conditional formula's, and the ruin-time density behind the
+unconditional value) by the QUADPACK QAG scheme (Piessens et al., 1983)
+with the 7-point Gauss / 15-point Kronrod pair: it always bisects the
+interval whose |K15 - G7| is largest, and gives up with
+``QuadratureError`` once ``MAX_INTERVALS`` intervals are in use, so its
+work is bounded whatever tolerance is asked for.
 
-``adaptive_simpson`` (recursive, with a depth limit) is kept for the
-oracles ``series_oracle`` and ``integral_oracle``, so that the cross-checks
-against the exact path run on an independent integrator.
+``adaptive_simpson`` (recursive, with a depth limit) is kept for
+``series_oracle``, so that the cross-checks against the exact path run on
+an independent integrator.
 """
 
 import math
@@ -20,7 +19,7 @@ from typing import Callable
 
 from .errors import QuadratureError
 
-__all__ = ["adaptive_simpson", "gauss_kronrod", "integrate_log_scaled"]
+__all__ = ["adaptive_simpson", "integrate_log_scaled"]
 
 # bisections stop, and QuadratureError is raised, at this many intervals
 MAX_INTERVALS = 1000
@@ -136,8 +135,15 @@ def _g7k15(f, a, b):
     return kronrod * half, abs((kronrod - gauss) * half)
 
 
-def _qag(f, edges, abs_tol, rel_tol):
-    """Globally adaptive G7K15 over the intervals between sorted ``edges``."""
+def _qag(f, edges, rel_tol):
+    """Globally adaptive G7K15 over the intervals between sorted ``edges``.
+
+    Stops when the summed |K15 - G7| of all intervals is at most
+    ``rel_tol * |integral|``; each step bisects the interval with the
+    largest |K15 - G7|, and f is evaluated only inside the edges.  Raises
+    QuadratureError when ``MAX_INTERVALS`` intervals (at most
+    15 * (2 * MAX_INTERVALS - 1) evaluations of f) do not meet it.
+    """
     parts = []
     for lo, hi in zip(edges, edges[1:]):
         value, err = _g7k15(f, lo, hi)
@@ -145,7 +151,7 @@ def _qag(f, edges, abs_tol, rel_tol):
     while True:
         total = math.fsum(p[3] for p in parts)
         err = math.fsum(p[0] for p in parts)
-        tol = max(abs_tol, rel_tol * abs(total))
+        tol = rel_tol * abs(total)
         if err <= tol:
             return total
         if len(parts) >= MAX_INTERVALS:
@@ -161,28 +167,6 @@ def _qag(f, edges, abs_tol, rel_tol):
         right, right_err = _g7k15(f, mid, hi)
         parts.append((left_err, lo, mid, left))
         parts.append((right_err, mid, hi, right))
-
-
-def gauss_kronrod(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    abs_tol: float = 0.0,
-    rel_tol: float = 0.0,
-) -> float:
-    """Integrate f over [a, b] by globally adaptive G7K15 (QUADPACK QAG).
-
-    Stops when the summed |K15 - G7| of all intervals is at most
-    ``max(abs_tol, rel_tol * |integral|)``.  Each step bisects the interval
-    with the largest |K15 - G7|.  f is evaluated only inside (a, b).
-
-    Raises QuadratureError when the tolerance is not met with
-    ``MAX_INTERVALS`` intervals (at most 15 * (2 * MAX_INTERVALS - 1)
-    evaluations of f): below the round-off floor no bisection can meet it.
-    """
-    if not (b > a):
-        return 0.0
-    return _qag(f, (a, b), abs_tol, rel_tol)
 
 
 def _peak_reach(log_f, x, peak, h, log_at_h):
@@ -202,19 +186,19 @@ def integrate_log_scaled(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Integrate exp(log_f) over [a, b] when exp(log_f) would over/underflow.
+) -> float:
+    """log of the integral of exp(log_f) over [a, b], or -inf when the
+    integral is zero; exp(log_f) itself may over- or underflow.
 
-    Returns ``(log_scale, value)`` with the integral equal to
-    ``exp(log_scale) * value``.  A 33-point scan locates the maximum of the
-    log-integrand, and the integrand is rescaled by it.  A peak narrower
-    than the scan spacing would fall between the Kronrod nodes of a rule
-    over [a, b], every node would underflow, and the rule would report a
-    zero integral with zero error.  So the scaled profile (bounded by ~1)
-    goes to the adaptive G7K15 loop with breakpoints at the scanned peak
-    and on each side of it, at the distance h / 2^k (h the scan spacing)
-    where the log-integrand first lies within 200 of the peak: the Kronrod
-    nodes nearest the peak then sample it.
+    A 33-point scan locates the maximum of the log-integrand, and the
+    integrand is rescaled by it.  A peak narrower than the scan spacing
+    would fall between the Kronrod nodes of a rule over [a, b], every node
+    would underflow, and the rule would report a zero integral with zero
+    error.  So the scaled profile (bounded by ~1) goes to the adaptive
+    G7K15 loop with breakpoints at the scanned peak and on each side of
+    it, at the distance h / 2^k (h the scan spacing) where the
+    log-integrand first lies within 200 of the peak: the Kronrod nodes
+    nearest the peak then sample it.
 
     The loop runs to relative tolerance ``rel_tol`` and bounds the work:
     ``QuadratureError`` is raised when ``MAX_INTERVALS`` intervals do not
@@ -223,14 +207,14 @@ def integrate_log_scaled(
     that the scaled integrand overflows.
     """
     if not (b > a):
-        return 0.0, 0.0
+        return -math.inf
     h = (b - a) / _SCAN_PANELS
     xs = [a + i * h for i in range(_SCAN_PANELS)] + [b]
     logs = [log_f(x) for x in xs]
     k = max(range(_SCAN_PANELS + 1), key=logs.__getitem__)
     peak = logs[k]
     if peak == -math.inf:
-        return 0.0, 0.0
+        return peak
 
     x = xs[k]
     edges = [a]
@@ -247,9 +231,10 @@ def integrate_log_scaled(
         return math.exp(lv) if lv > -745.0 else 0.0
 
     try:
-        return peak, _qag(scaled, edges, 0.0, rel_tol)
+        mass = _qag(scaled, edges, rel_tol)
     except OverflowError:
         raise QuadratureError(
             f"the scaled integrand overflowed on [{a:g}, {b:g}]: the scan "
             f"missed a peak far above its maximum {peak:.6g}"
         ) from None
+    return peak + math.log(mass) if mass > 0.0 else -math.inf

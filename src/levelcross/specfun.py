@@ -13,7 +13,6 @@ from bisect import bisect_right
 __all__ = [
     "std_normal_cdf",
     "log_std_normal_cdf",
-    "bessel_i1",
     "log_bessel_i0",
     "log_bessel_i1",
 ]
@@ -122,26 +121,6 @@ def _log_asymptotic(z: float, edges: list[float], bands: list[tuple[float, ...]]
     for a in bands[bisect_right(edges, z, 1) - 1]:
         total = total * inv_z + a
     return z - 0.5 * math.log(_TWO_PI * z) + math.log(total)
-
-
-def bessel_i1(z: float) -> float:
-    """Modified Bessel function I_1 for z >= 0.
-
-    Raises OverflowError once e^z is no longer representable; callers in
-    that regime must use :func:`log_bessel_i1`.
-    """
-    if z < 0.0:
-        raise ValueError("bessel_i1 requires z >= 0")
-    if z == 0.0:
-        return 0.0
-    if z <= _BESSEL_SWITCH:
-        return _series(z, 1)
-    log_val = _log_asymptotic(z, _I1_EDGES, _I1_BANDS)
-    if log_val > 709.0:
-        raise OverflowError(
-            f"I1({z:g}) overflows double precision; use log_bessel_i1"
-        )
-    return math.exp(log_val)
 
 
 def log_bessel_i0(z: float) -> float:

@@ -13,9 +13,8 @@ deterministic for a fixed configuration and seed.
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from . import __version__
 from .approx import CrossingQuery, corrected_expansion, main_term
 from .distributions import Distribution, Exponential
 from .errors import LevelCrossError, MomentUndefinedError
@@ -86,7 +85,6 @@ class SweepResult:
     var: str
     methods: tuple[str, ...]
     rows: list[tuple[float, dict[str, float | SimEstimate]]] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def header(self) -> list[str]:
         cols = ["x", *self.methods]
@@ -168,20 +166,6 @@ def evaluate_sweep(
             raise LevelCrossError("no t nodes exceed v")
 
     result = SweepResult(var=var, methods=tuple(methods))
-    result.metadata = {
-        "tool": f"levelcross {__version__}",
-        "t_spec": t_dist.spec_string(),
-        "y_spec": y_dist.spec_string(),
-        "u": u,
-        "v": v,
-        "horizon": horizon,
-        "sim_horizon_cap": sim_t if "sim" in methods else None,
-        "trials": trials if "sim" in methods else None,
-        "seed": seed if "sim" in methods else None,
-    }
-    if constants is not None:
-        result.metadata.update(asdict(constants))
-
     for i, x in enumerate(nodes):
         node_c, node_t, node_sim_t = (x, horizon, sim_t) if var == "c" else (c, x, x)
         query = CrossingQuery(u=u, c=node_c, v=v, t=node_t)

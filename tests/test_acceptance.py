@@ -39,14 +39,15 @@ from fractions import Fraction
 
 import pytest
 
-from levelcross.approx import CrossingQuery, corrected_expansion, integral_oracle, main_term
+from levelcross.approx import CrossingQuery, corrected_expansion, main_term
 from levelcross.approx import first_correction, second_correction
 from levelcross.cli import main as cli_main
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional, series_oracle
-from levelcross.moments import constants_for, model_constants_lemma
+from levelcross.moments import constants_for
 from levelcross.sim import DEFAULT_SEED, LcgStream, substream_seed
 from levelcross.sweep import SweepGrid, sweep_c
+from oracles import integral_oracle, model_constants_lemma
 
 UNIT = ExpExpModel(1.0, 1.0)
 EXP_K = constants_for(Exponential(1.0), Exponential(1.0))

@@ -9,7 +9,6 @@ from levelcross.approx import (
     CrossingQuery,
     corrected_expansion,
     first_correction,
-    integral_oracle,
     main_term,
     second_correction,
 )
@@ -17,6 +16,7 @@ from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.errors import QuadratureError
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.moments import ModelConstants, constants_for
+from oracles import integral_oracle
 
 EXP_PAIR = constants_for(Exponential(1.0), Exponential(1.0))
 

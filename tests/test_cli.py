@@ -7,7 +7,16 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from levelcross import SweepGrid, evaluate_sweep, parse_spec, render_svg
+from levelcross import (
+    CrossingQuery,
+    SweepGrid,
+    constants_for,
+    corrected_expansion,
+    evaluate_sweep,
+    main_term,
+    parse_spec,
+    render_svg,
+)
 from levelcross.cli import main, parse_dist_spec
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.errors import LevelCrossError
@@ -354,9 +363,12 @@ class TestEvaluateSweepApi:
             u=40.0, v=0.0, horizon=1000.0,
         )
         assert [x for x, _ in result.rows] == [0.8, 1.0, 1.2, 1.4, 1.6]
-        for _, values in result.rows:
+        k = constants_for(parse_spec("erlang:1.2,2"), parse_spec("erlang:1,2"))
+        for x, values in result.rows:
             assert set(values) == {"main", "corrected"}
-        assert result.metadata["c_star"] == pytest.approx(1.2, abs=1e-12)
+            q = CrossingQuery(u=40.0, c=x, v=0.0, t=1000.0)
+            assert values["main"] == main_term(q, k)
+            assert values["corrected"] == corrected_expansion(q, k).corrected
 
     def test_render_svg_parses(self):
         result = evaluate_sweep(

@@ -344,3 +344,11 @@ class TestUnconditional:
             unconditional_exp_first_renewal(UNIT, -1.0, 1.0, 10.0)
         with pytest.raises(ValueError):
             unconditional_exp_first_renewal(UNIT, 1.0, 0.0, 10.0)
+
+    def test_horizon_edges(self):
+        # a NaN horizon is an error, not a silent 0.0
+        with pytest.raises(ValueError):
+            unconditional_exp_first_renewal(UNIT, 10.0, 1.0, math.nan)
+        assert unconditional_exp_first_renewal(UNIT, 10.0, 1.0, 0.0) == 0.0
+        assert unconditional_exp_first_renewal(UNIT, 10.0, 1.0, -5.0) == 0.0
+        assert unconditional_exp_first_renewal(UNIT, 10.0, 1.0, -math.inf) == 0.0

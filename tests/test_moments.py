@@ -5,7 +5,8 @@ rational evaluations of the moment displays, rounded once to float: the
 ``fractions.Fraction`` derivation from textbook raw moments in
 ``tests/test_acceptance.py`` (``exact_kf_ks``) reproduces MIX_PARETO_KF and
 MIX_PARETO_KS bit for bit.  The Pareto-Mix2Exp and Pareto-Pareto closed
-forms here are the corrected versions that agree with the generic route.
+forms in ``tests/oracles.py`` are the corrected versions that agree with
+the generic route.
 """
 
 import random
@@ -13,12 +14,9 @@ import random
 import pytest
 
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, MomentSet, Pareto
-from levelcross.errors import MomentUndefinedError, UnsupportedPairError
-from levelcross.moments import (
-    constants_for,
-    model_constants_generic,
-    model_constants_lemma,
-)
+from levelcross.errors import MomentUndefinedError
+from levelcross.moments import constants_for, model_constants_generic
+from oracles import UnsupportedPairError, model_constants_lemma
 
 # exact rational evaluations of the generic displays (Fraction arithmetic)
 MIX_PARETO_KF = 1.1614439077986587  # Pareto(4,0.35) jumps, Mix2Exp(1,2,2/3) gaps

@@ -21,7 +21,6 @@ from levelcross.specfun import (
     _I1_EDGES,
     _log_asymptotic,
     _series,
-    bessel_i1,
     log_bessel_i0,
     log_bessel_i1,
     log_std_normal_cdf,
@@ -107,46 +106,10 @@ class TestLogStdNormalCdf:
         assert lo < hi
 
 
-class TestBesselI1:
-    def test_zero(self):
-        assert bessel_i1(0.0) == 0.0
-
-    def test_series_oracle_values(self):
-        # direct 20-term summation of z/2 * sum (z^2/4)^n / (n!(n+1)!)
-        def series20(z):
-            total, term = 0.0, z / 2.0
-            for n in range(1, 21):
-                total += term
-                term *= (z * z / 4.0) / (n * (n + 1))
-            return total
-
-        assert bessel_i1(1.0) == pytest.approx(series20(1.0), rel=1e-14)
-        assert bessel_i1(2.0) == pytest.approx(series20(2.0), rel=1e-14)
-        assert bessel_i1(1.0) == pytest.approx(I1_1, rel=1e-13)
-        assert bessel_i1(2.0) == pytest.approx(I1_2, rel=1e-13)
-
-    def test_against_scipy_wide_range(self):
-        for z in np.linspace(0.01, 120.0, 240):
-            ref = float(ive(1, z)) * math.exp(z)
-            assert bessel_i1(z) == pytest.approx(ref, rel=1e-12)
-
-    def test_strictly_increasing(self):
-        zs = np.linspace(1e-3, 60, 200)
-        vals = [bessel_i1(z) for z in zs]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i1(-0.5)
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            bessel_i1(800.0)
-
-
 class TestLogBesselI1:
     def test_matches_log_of_series(self):
         assert log_bessel_i1(1.0) == pytest.approx(math.log(I1_1), rel=1e-13)
+        assert log_bessel_i1(2.0) == pytest.approx(math.log(I1_2), rel=1e-13)
 
     def test_large_argument_values(self):
         assert log_bessel_i1(700.0) == pytest.approx(LOG_I1_700, rel=1e-13)
