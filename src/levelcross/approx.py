@@ -32,8 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrossingQuery:
-    """Evaluation point: level u > 0, drift rate c > 0, first-renewal time
-    v >= 0 and horizon t > v (``math.inf`` for the unbounded horizon)."""
+    """Evaluation point: finite level u > 0, finite drift rate c > 0,
+    first-renewal time v >= 0 and horizon t > v (``math.inf`` for the
+    unbounded horizon)."""
 
     u: float
     c: float
@@ -41,10 +42,10 @@ class CrossingQuery:
     t: float = math.inf
 
     def __post_init__(self):
-        if not self.u > 0.0:
-            raise ValueError("level u must be > 0")
-        if not self.c > 0.0:
-            raise ValueError("drift rate c must be > 0")
+        if not 0.0 < self.u < math.inf:
+            raise ValueError("level u must be finite and > 0")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("drift rate c must be finite and > 0")
         if not 0.0 <= self.v < self.t:
             raise ValueError("need 0 <= v < t")
 

@@ -96,8 +96,8 @@ class Exponential(Distribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("Exponential rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("Exponential rate must be finite and > 0")
 
     def pdf(self, x: float) -> float:
         if x <= 0.0:
@@ -129,8 +129,8 @@ class Mix2Exp(Distribution):
     p: float
 
     def __post_init__(self):
-        if not (0.0 < self.rate1 < self.rate2):
-            raise ValueError("Mix2Exp requires 0 < rate1 < rate2")
+        if not 0.0 < self.rate1 < self.rate2 < math.inf:
+            raise ValueError("Mix2Exp requires 0 < rate1 < rate2 < inf")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("Mix2Exp weight p must lie in [0, 1]")
 
@@ -204,8 +204,8 @@ class Erlang(Distribution):
     shape: int
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("Erlang rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("Erlang rate must be finite and > 0")
         if not (isinstance(self.shape, int) and self.shape >= 1):
             raise ValueError("Erlang shape must be a positive integer")
 
@@ -277,10 +277,10 @@ class Pareto(Distribution):
     scale: float
 
     def __post_init__(self):
-        if not self.shape > 0.0:
-            raise ValueError("Pareto shape must be > 0")
-        if not self.scale > 0.0:
-            raise ValueError("Pareto scale must be > 0")
+        if not 0.0 < self.shape < math.inf:
+            raise ValueError("Pareto shape must be finite and > 0")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("Pareto scale must be finite and > 0")
 
     def pdf(self, x: float) -> float:
         if x <= 0.0:

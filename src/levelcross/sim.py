@@ -107,6 +107,13 @@ class SimEstimate:
     seed: int
     successes: int = field(default=0)
 
+    @classmethod
+    def from_counts(cls, successes: int, trials: int, seed: int) -> "SimEstimate":
+        """The estimate and Wilson interval of ``successes`` in ``trials``
+        paths drawn from ``seed``."""
+        lo, hi = wilson_interval(successes, trials)
+        return cls(successes / trials, trials, lo, hi, seed, successes)
+
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
@@ -240,12 +247,4 @@ def simulate_conditional(
         tau = first_crossing_time(t_dist, y_dist, u, c, v, t, stream)
         if tau is not None and tau > v:
             successes += 1
-    lo, hi = wilson_interval(successes, n_trials)
-    return SimEstimate(
-        estimate=successes / n_trials,
-        trials=n_trials,
-        ci_low=lo,
-        ci_high=hi,
-        seed=seed,
-        successes=successes,
-    )
+    return SimEstimate.from_counts(successes, n_trials, seed)

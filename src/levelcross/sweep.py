@@ -4,7 +4,8 @@
 simulation-only :func:`sweep_c` and the demos all call it.  Simulation at
 node i of master seed m (i counts the nodes evaluated) runs on the
 substream ``substream_seed(m, i)``, a splitmix64 avalanche (Steele, Lea &
-Flood, OOPSLA 2014), so a node's estimate depends only on (m, i).
+Flood, OOPSLA 2014), so a node's estimate depends only on (m, i), and the
+nodes can run in forked worker processes without changing a byte.
 
 CSV: header ``x,<method>[,...][,sim_ci_low,sim_ci_high]``, rows in
 ascending x, 12 significant digits, LF endings; byte-for-byte
@@ -12,7 +13,10 @@ deterministic for a fixed configuration and seed.
 """
 
 import math
+import os
+import threading
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .approx import CrossingQuery, corrected_expansion, main_term
@@ -143,6 +147,13 @@ def evaluate_sweep(
     to ``inf_cap`` when the horizon is infinite); ``var="t"`` sweeps the
     horizon at drift rate ``c``, keeping only the nodes after ``v``.  The
     keywords are the ``levelcross sweep`` options of the same names.
+
+    Simulation nodes run in forked worker processes, one per available
+    CPU (see :func:`_worker_count`), while this process evaluates the
+    other methods.  The result, and the first exception raised, are those
+    of evaluating the nodes one by one in this process: each node's
+    estimate depends only on (seed, node index), and any node a worker
+    leaves out is evaluated here.
     """
     for m in methods:
         if m not in _METHODS:
@@ -165,24 +176,133 @@ def evaluate_sweep(
         if not nodes:
             raise LevelCrossError("no t nodes exceed v")
 
+    def query_at(x: float) -> CrossingQuery:
+        node_c, node_t = (x, horizon) if var == "c" else (c, x)
+        return CrossingQuery(u=u, c=node_c, v=v, t=node_t)
+
+    def compute(i: int, query: CrossingQuery, m: str) -> float | SimEstimate:
+        if m == "main":
+            return main_term(query, constants)
+        if m == "corrected":
+            return corrected_expansion(query, constants).corrected
+        if m == "exact":
+            return exact_conditional(model, query)
+        node_sim_t = sim_t if var == "c" else query.t
+        return simulate_conditional(
+            t_dist, y_dist, u, query.c, v, node_sim_t, trials, substream_seed(seed, i)
+        )
+
+    # values computed ahead of the in-order pass below, keyed by (node, method)
+    ahead: dict[tuple[int, str], float | SimEstimate] = {}
+    count = _worker_count(t_dist, y_dist, len(nodes)) if "sim" in methods else 0
+    if count:
+        workers: list[tuple[int, int]] = []
+        failed = True
+        try:
+            _start_workers(
+                workers, count, len(nodes), lambda i: compute(i, query_at(nodes[i]), "sim")
+            )
+            for i, x in enumerate(nodes):
+                query = query_at(x)
+                for m in methods:
+                    if m != "sim":
+                        ahead[i, m] = compute(i, query, m)
+            failed = False
+        except Exception:
+            # work done ahead only saves time: the in-order pass below
+            # evaluates what failed again, so it raises exactly where the
+            # one-by-one loop would, after the same nodes
+            pass
+        finally:
+            for i, successes in _collect(workers, kill=failed).items():
+                seed_i = substream_seed(seed, i)
+                ahead[i, "sim"] = SimEstimate.from_counts(successes, trials, seed_i)
+
     result = SweepResult(var=var, methods=tuple(methods))
     for i, x in enumerate(nodes):
-        node_c, node_t, node_sim_t = (x, horizon, sim_t) if var == "c" else (c, x, x)
-        query = CrossingQuery(u=u, c=node_c, v=v, t=node_t)
-        values: dict[str, float | SimEstimate] = {}
-        for m in methods:
-            if m == "main":
-                values[m] = main_term(query, constants)
-            elif m == "corrected":
-                values[m] = corrected_expansion(query, constants).corrected
-            elif m == "exact":
-                values[m] = exact_conditional(model, query)
-            else:  # sim
-                values[m] = simulate_conditional(
-                    t_dist, y_dist, u, node_c, v, node_sim_t, trials, substream_seed(seed, i)
-                )
+        query = query_at(x)
+        values = {m: ahead[i, m] if (i, m) in ahead else compute(i, query, m) for m in methods}
         result.rows.append((x, values))
     return result
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(t_dist: Distribution, y_dist: Distribution, nodes: int) -> int:
+    """How many forked workers simulate a sweep's ``nodes``: one per
+    available CPU, at most one per node, and none (the nodes run in this
+    process) where fewer than two would run, the platform cannot fork,
+    other threads are running, or a law draws through a replaced
+    ``sample()``, whose calls must all be seen by this process."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    if t_dist.draw_kernel() is None or y_dist.draw_kernel() is None:
+        return 0
+    count = min(_cpu_count(), nodes)
+    return count if count >= 2 else 0
+
+
+def _start_workers(
+    workers: list[tuple[int, int]], count: int, nodes: int, simulate: Callable[[int], SimEstimate]
+) -> None:
+    """Fork ``count`` workers, appending (pid, read end of its pipe) to
+    ``workers`` as each starts.  Worker k writes the line ``i successes``
+    for each node i = k, k + count, ... (a node's cost grows along the
+    grid, so interleaving balances the load) and stops at the first node
+    that raises."""
+    for k in range(count):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            # os._exit: the worker never returns into the caller's frames
+            # and never flushes the stdio buffers it inherited
+            status = 1
+            try:
+                os.close(r)
+                for i in range(k, nodes, count):
+                    os.write(w, b"%d %d\n" % (i, simulate(i).successes))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        workers.append((pid, r))
+
+
+def _collect(workers: list[tuple[int, int]], kill: bool) -> dict[int, int]:
+    """Successes per node, read from every worker's pipe to its end; with
+    ``kill``, the workers are stopped instead and nothing is read.  Every
+    worker is reaped, whatever is raised."""
+    counts = {}
+    try:
+        if kill:
+            import signal  # only this rare path needs it
+
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+        else:
+            for _, fd in workers:
+                with open(fd, "rb", closefd=False) as pipe:
+                    # a line is written whole or not at all; a worker that
+                    # died leaves out the rest of its nodes
+                    for line in pipe.read().split(b"\n")[:-1]:
+                        i, successes = map(int, line.split())
+                        counts[i] = successes
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return counts
 
 
 def sweep_c(
@@ -195,9 +315,10 @@ def sweep_c(
     n_trials: int,
     master_seed: int = DEFAULT_SEED,
 ) -> list[tuple[float, SimEstimate]]:
-    """Simulate every node of the grid with its own substream.  Warns when
-    the critical rate lies outside the grid, since that is where the
-    estimates are most informative."""
+    """Simulate every node of the grid with its own substream, in forked
+    workers where :func:`evaluate_sweep` runs them there; the estimates do
+    not depend on which.  Warns when the critical rate lies outside the
+    grid, since that is where the estimates are most informative."""
     try:
         c_star = constants_for(t_dist, y_dist).c_star
     except MomentUndefinedError:

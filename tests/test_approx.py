@@ -47,6 +47,13 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             CrossingQuery(u=1.0, c=1.0, v=2.0, t=2.0)  # needs v < t
 
+    @pytest.mark.parametrize("u, c", [
+        (math.inf, 1.0), (10.0, math.inf), (math.nan, 1.0), (10.0, math.nan),
+    ])
+    def test_rejects_non_finite_level_and_rate(self, u, c):
+        with pytest.raises(ValueError, match="finite"):
+            CrossingQuery(u=u, c=c, v=0.0, t=10.0)
+
     def test_infinite_horizon_allowed(self):
         q = CrossingQuery(u=1.0, c=1.0)
         assert q.t == math.inf

@@ -2,11 +2,15 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import levelcross
 from levelcross import (
     CrossingQuery,
     SweepGrid,
@@ -182,6 +186,26 @@ class TestSweepCommand:
         assert len(root.findall(f".//{ns}polyline")) == 2  # main + exact
         assert len(root.findall(f".//{ns}circle")) == 5  # sim markers
 
+    def test_piped_stdout_printed_once(self):
+        # stdout on a pipe is block-buffered: a forked worker that flushed
+        # it, or returned into the command, would print a second copy
+        script = (
+            "import sys; import levelcross.sweep as s; s._cpu_count = lambda: 2; "
+            "print('before'); from levelcross.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(levelcross.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *SWEEP_ARGS], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines.count("before") == 1
+        assert lines.count("T = exp:1") == 1
+        assert lines.count("x,main,exact,sim,sim_ci_low,sim_ci_high") == 1
+        assert len(lines) == 1 + 9 + 6 + 1  # before, summary, CSV, max|main-exact|
+
     def test_stdout_csv_when_no_out_path(self, capsys):
         args = [a for a in SWEEP_ARGS]
         args[args.index("--methods") + 1] = "main"
@@ -284,17 +308,31 @@ def sim_cells(stdout):
 
 
 class TestNodeSeeding:
-    """Sweep node i simulates from substream_seed(seed, i), i the row index."""
+    """Sweep node i simulates from substream_seed(seed, i), i the row index,
+    whether the node runs in this process or in a forked worker."""
 
-    def test_c_sweep_with_capped_infinite_horizon(self, capsys):
-        code, stdout, _ = run_cli(
+    @staticmethod
+    def sweep_stdout(argv, capsys, set_cpus):
+        """The sweep's stdout, required to be the same bytes with one CPU
+        (nodes in this process) and with two (nodes in forked workers)."""
+        outs = []
+        for cpus in (1, 2):
+            forked = set_cpus(cpus)
+            code, stdout, _ = run_cli(argv, capsys)
+            assert code == 0
+            outs.append(stdout)
+        assert forked == [2]
+        assert outs[0] == outs[1]
+        return outs[0]
+
+    def test_c_sweep_with_capped_infinite_horizon(self, capsys, set_cpus):
+        stdout = self.sweep_stdout(
             ["sweep", "--var", "c", "--min", "0.8", "--max", "1.4", "--step", "0.2",
              "--t", "exp:1", "--y", "exp:1", "--u", "10", "--horizon", "inf",
              "--inf-cap", "200", "--methods", "main,sim", "--trials", "150",
              "--seed", "11"],
-            capsys,
+            capsys, set_cpus,
         )
-        assert code == 0
         cells = sim_cells(stdout)
         assert [x for x, _ in cells] == [0.8, 1.0, 1.2, 1.4]
         for i, (c, cell) in enumerate(cells):
@@ -304,14 +342,13 @@ class TestNodeSeeding:
             )
             assert cell == f"{est.estimate:.12g}"
 
-    def test_t_sweep_drops_nodes_before_indexing(self, capsys):
-        code, stdout, _ = run_cli(
+    def test_t_sweep_drops_nodes_before_indexing(self, capsys, set_cpus):
+        stdout = self.sweep_stdout(
             ["sweep", "--var", "t", "--min", "10", "--max", "70", "--step", "20",
              "--t", "erlang:2,2", "--y", "exp:1", "--u", "3", "--c", "0.5", "--v", "30",
              "--methods", "sim", "--trials", "150", "--seed", "11"],
-            capsys,
+            capsys, set_cpus,
         )
-        assert code == 0
         cells = sim_cells(stdout)
         assert [x for x, _ in cells] == [50.0, 70.0]  # 10 and 30 are not after v
         for i, (t, cell) in enumerate(cells):

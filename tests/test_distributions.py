@@ -319,6 +319,12 @@ class TestSpecGrammar:
             "erlang:1,inf",
             "pareto:4",
             "mix2exp:1,2",
+            "exp:inf",
+            "exp:nan",
+            "erlang:inf,2",
+            "pareto:inf,1",
+            "pareto:4,inf",
+            "mix2exp:1,inf,0.5",
         ):
             with pytest.raises(SpecParseError):
                 parse_spec(bad)

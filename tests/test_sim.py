@@ -1,9 +1,14 @@
 """Generator arithmetic, trajectory mechanics, and sweep reproducibility."""
 
 import math
+import os
+import threading
+import time
 import warnings
 
 import pytest
+
+import levelcross.sweep as sweep_module
 
 from levelcross.approx import CrossingQuery
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
@@ -17,7 +22,7 @@ from levelcross.sim import (
     substream_seed,
     wilson_interval,
 )
-from levelcross.sweep import SweepGrid, sweep_c
+from levelcross.sweep import SweepGrid, evaluate_sweep, sweep_c
 
 
 class TestLcg:
@@ -312,6 +317,103 @@ class TestSweep:
         with pytest.raises(ZeroDivisionError):
             sweep_c(Exponential(1.0), Exponential(1.0), 10.0, 0.0, 20.0,
                     SweepGrid(1.0, 1.0, 0.1), 10, 1)
+
+
+class TestForkedNodes:
+    """Simulation nodes in forked workers give what evaluating the nodes one
+    by one in this process gives: the values, or the first exception."""
+
+    GRID = SweepGrid(0.6, 1.4, 0.2)
+
+    def sweep(self, methods=("main", "sim"), t_dist=Exponential(1.0)):
+        return evaluate_sweep(
+            t_dist, Exponential(1.0), self.GRID, methods,
+            u=10.0, horizon=50.0, trials=200, seed=42,
+        )
+
+    def test_worker_exception_reraised(self, set_cpus, monkeypatch):
+        real = sweep_module.simulate_conditional
+
+        def failing(t_dist, y_dist, u, c, *args):
+            if c == 1.2:
+                raise ZeroDivisionError(f"node at c = {c}")
+            return real(t_dist, y_dist, u, c, *args)
+
+        monkeypatch.setattr(sweep_module, "simulate_conditional", failing)
+        forked = set_cpus(2)
+        with pytest.raises(ZeroDivisionError, match="c = 1.2"):
+            self.sweep()
+        assert forked == [2]
+
+    def test_dead_worker_nodes_evaluated_here(self, set_cpus, monkeypatch):
+        set_cpus(1)
+        serial = self.sweep()
+        real, parent = sweep_module.simulate_conditional, os.getpid()
+
+        def dying(t_dist, y_dist, u, c, *args):
+            if c == 1.0 and os.getpid() != parent:
+                os._exit(3)  # worker 0 has written node 0 and dies at node 2
+            return real(t_dist, y_dist, u, c, *args)
+
+        monkeypatch.setattr(sweep_module, "simulate_conditional", dying)
+        forked = set_cpus(2)
+        assert self.sweep().rows == serial.rows
+        assert forked == [2]
+
+    def test_analytic_failure_stops_workers(self, set_cpus, monkeypatch):
+        real_main, real_sim = sweep_module.main_term, sweep_module.simulate_conditional
+        parent = os.getpid()
+
+        def failing(query, constants):
+            if query.c == 1.0:
+                raise ZeroDivisionError("main term at c = 1")
+            return real_main(query, constants)
+
+        def slow(*args):
+            if os.getpid() != parent:
+                time.sleep(30)  # killed, not awaited
+            return real_sim(*args)
+
+        monkeypatch.setattr(sweep_module, "main_term", failing)
+        monkeypatch.setattr(sweep_module, "simulate_conditional", slow)
+        forked = set_cpus(2)
+        start = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="c = 1"):
+            self.sweep()
+        assert time.monotonic() - start < 15
+        assert forked == [2]
+
+    def test_other_threads_keep_nodes_here(self, set_cpus):
+        set_cpus(1)
+        serial = self.sweep()
+        forked = set_cpus(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert self.sweep().rows == serial.rows
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forked == []
+
+    def test_overridden_sample_runs_in_this_process(self, set_cpus):
+        calls = []
+
+        class Counted(Exponential):
+            def sample(self, stream):
+                calls.append(None)
+                return super().sample(stream)
+
+        counts = []
+        for cpus in (1, 2):
+            forked = set_cpus(cpus)
+            calls.clear()
+            assert self.sweep(("sim",), Counted(1.0)).rows == self.sweep(("sim",)).rows
+            counts.append(len(calls))
+        assert forked == [2]  # the plain law's sweep forked, the counted law's did not
+        assert counts[0] == counts[1] > 0
 
 
 class TestSweepGrid:
