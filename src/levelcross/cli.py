@@ -238,7 +238,15 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit status."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (`levelcross sweep ... | head`).
+        # As the Python docs advise, point stdout at devnull so that the
+        # interpreter's final flush of the unwritten rest stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (LevelCrossError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,9 @@ inverse-transform sampling from a caller-supplied uniform stream.
 A stream is any object with a ``next_uniform() -> float in (0, 1)``
 method; :class:`levelcross.sim.LcgStream` is the deterministic one used
 throughout.  ``draw_kernel()`` exposes the unchecked transform behind
-``sample()``, so the simulator can draw without a stream object.  It
-returns None for a law whose ``sample()`` it would not reproduce, such as
-a subclass that overrides ``sample()`` or ``quantile()``.
+``sample()`` on raw generator states, so the simulator can draw without a
+stream object.  It returns None for a law whose ``sample()`` it would not
+reproduce, such as a subclass that overrides ``sample()`` or ``quantile()``.
 """
 
 import math
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import MomentUndefinedError, SpecParseError
 
 __all__ = [
+    "ERLANG_MAX_SHAPE",
     "MomentSet",
     "Distribution",
     "Exponential",
@@ -32,6 +33,11 @@ __all__ = [
 
 # fixed iteration caps keep the numeric quantiles bit-exactly reproducible
 _BISECT_STEPS = 90
+
+# one Erlang draw sums `shape` transforms: the cap bounds its work
+ERLANG_MAX_SHAPE = 1000
+
+_STATE_TO_UNIFORM = 2.0**-32  # levelcross.sim's generator state x is the uniform x * 2^-32
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,13 @@ class Distribution:
         """The quantile without its argument check."""
         raise NotImplementedError
 
-    def draw_kernel(self) -> tuple[Callable[[float], float], int] | None:
-        """``(transform, n)``: one ``sample()`` is the sum, in draw order,
-        of ``transform(u)`` over ``n`` fresh uniforms.  ``transform`` skips
-        the argument check, so it must only see uniforms in (0, 1).
+    def draw_kernel(self) -> tuple[Callable[[float], float], float, float, int] | None:
+        """``(transform, scale, divisor, n)``: one ``sample()`` is the sum,
+        in draw order, of ``transform(x * scale) / divisor`` over ``n``
+        fresh generator states ``x``, integers in [1, 2^32) that stand for
+        the uniforms ``x * 2**-32``.  ``transform`` skips the argument
+        check.  The default, ``(self._inverse, 2**-32, 1.0, 1)``, divides
+        exactly by 1.0; the exponential family's transform is ``math.log1p``.
 
         None when the class's ``sample`` or ``quantile`` is no longer the
         definition the kernel stands for (a subclass overrode it, or it
@@ -74,7 +83,7 @@ class Distribution:
         cls = type(self)
         if cls.sample is not _SAMPLE or cls.quantile is not _QUANTILE:
             return None
-        return self._inverse, 1
+        return self._inverse, _STATE_TO_UNIFORM, 1.0, 1
 
     def moments(self) -> MomentSet:
         raise NotImplementedError
@@ -112,12 +121,22 @@ class Exponential(Distribution):
     def _inverse(self, u: float) -> float:
         return -math.log1p(-u) / self.rate
 
+    def draw_kernel(self):
+        kernel = super().draw_kernel()
+        if kernel is None or type(self)._inverse is not _EXP_INVERSE:
+            return kernel
+        # exact sign flips: log1p(x * -2^-32) / -rate == _inverse(x * 2^-32)
+        return math.log1p, -_STATE_TO_UNIFORM, -self.rate, 1
+
     def moments(self) -> MomentSet:
         r = self.rate
         return MomentSet(1.0 / r, 1.0 / r**2, 2.0 / r**3)
 
     def spec_string(self) -> str:
         return f"exp:{self.rate:g}"
+
+
+_EXP_INVERSE = Exponential._inverse  # the definition its draw_kernel() inlines
 
 
 @dataclass(frozen=True)
@@ -206,8 +225,8 @@ class Erlang(Distribution):
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
             raise ValueError("Erlang rate must be finite and > 0")
-        if not (isinstance(self.shape, int) and self.shape >= 1):
-            raise ValueError("Erlang shape must be a positive integer")
+        if not (isinstance(self.shape, int) and 1 <= self.shape <= ERLANG_MAX_SHAPE):
+            raise ValueError(f"Erlang shape must be an integer in [1, {ERLANG_MAX_SHAPE}]")
 
     def pdf(self, x: float) -> float:
         if x <= 0.0:
@@ -246,10 +265,11 @@ class Erlang(Distribution):
         k, r = self.shape, self.rate
         return MomentSet(k / r, k / r**2, 2.0 * k / r**3)
 
-    def draw_kernel(self) -> tuple[Callable[[float], float], int] | None:
-        if type(self).sample is not _ERLANG_SAMPLE:
+    def draw_kernel(self):
+        kernel = Exponential(self.rate).draw_kernel()
+        if kernel is None or type(self).sample is not _ERLANG_SAMPLE:
             return None
-        return Exponential(self.rate)._inverse, self.shape
+        return kernel[:3] + (self.shape,)
 
     def sample(self, stream) -> float:
         # sum of `shape` exponential draws, consuming exactly `shape`

@@ -155,8 +155,9 @@ def first_crossing_time(
     ``t_dist.sample(stream)`` for each gap; ``stream.state`` and
     ``stream.draws`` advance exactly as they would.  The generator steps
     inline on a local integer state, and each uniform costs one call of
-    its law's ``draw_kernel()`` transform.  When that cannot reproduce
-    ``sample()`` (a law without a kernel, or a stream that is not a plain
+    its law's ``draw_kernel()`` transform (for the exponential family the
+    C builtin ``math.log1p``).  When that cannot reproduce ``sample()`` (a
+    law without a kernel, or a stream that is not a plain
     :class:`LcgStream`), the draws go through ``sample()`` itself.
     """
     t_kernel, y_kernel = t_dist.draw_kernel(), y_dist.draw_kernel()
@@ -167,22 +168,24 @@ def first_crossing_time(
         or LcgStream.next_uniform is not _NEXT_UNIFORM
     ):
         return _first_crossing_by_sample(t_dist, y_dist, u, c, v, horizon, stream)
-    t_draw, t_uniforms = t_kernel
-    y_draw, y_uniforms = y_kernel
+    t_draw, t_scale, t_div, t_uniforms = t_kernel
+    y_draw, y_scale, y_div, y_uniforms = y_kernel
     t_more, y_more = range(t_uniforms - 1), range(y_uniforms - 1)
-    a, b, mask, scale = LCG_MULTIPLIER, LCG_INCREMENT, _MASK32, _INV_MODULUS
+    a, b, mask = LCG_MULTIPLIER, LCG_INCREMENT, _MASK32
     x = stream.state
     s = v
     total = 0.0
     jumps = 0
     # each `x = ... or b` is next_uniform's step: a zero state is skipped
-    # by stepping again, and lcg_next(0) == b
+    # by stepping again, and lcg_next(0) == b.  The `if` spares a law with
+    # one uniform per variate an empty-range iterator on every draw.
     while True:
         x = (a * x + b) & mask or b
-        jump = y_draw(x * scale)
-        for _ in y_more:
-            x = (a * x + b) & mask or b
-            jump += y_draw(x * scale)
+        jump = y_draw(x * y_scale) / y_div
+        if y_more:
+            for _ in y_more:
+                x = (a * x + b) & mask or b
+                jump += y_draw(x * y_scale) / y_div
         total += jump
         jumps += 1
         if total - c * s > u:
@@ -190,10 +193,11 @@ def first_crossing_time(
             gaps = jumps - 1
             break
         x = (a * x + b) & mask or b
-        gap = t_draw(x * scale)
-        for _ in t_more:
-            x = (a * x + b) & mask or b
-            gap += t_draw(x * scale)
+        gap = t_draw(x * t_scale) / t_div
+        if t_more:
+            for _ in t_more:
+                x = (a * x + b) & mask or b
+                gap += t_draw(x * t_scale) / t_div
         s += gap
         if s > horizon:
             tau = None

@@ -206,6 +206,32 @@ class TestSweepCommand:
         assert lines.count("x,main,exact,sim,sim_ci_low,sim_ci_high") == 1
         assert len(lines) == 1 + 9 + 6 + 1  # before, summary, CSV, max|main-exact|
 
+    @pytest.mark.parametrize(
+        "argv", [SWEEP_ARGS, ["constants", "--t", "exp:1", "--y", "exp:1"]],
+        ids=["sweep", "constants"],
+    )
+    def test_reader_closing_early_leaves_stderr_empty(self, argv):
+        # `levelcross sweep ... | head -1`: the child prints one line, waits
+        # until the reader has read it and closed the pipe (the write end
+        # then polls as an error), and only then runs the command, so every
+        # later write meets a closed pipe
+        script = (
+            "import select, sys; print('before', flush=True); p = select.poll(); "
+            "p.register(1, 0); p.poll(60000); "
+            "from levelcross.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(levelcross.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"before\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert stderr == b""
+
     def test_stdout_csv_when_no_out_path(self, capsys):
         args = [a for a in SWEEP_ARGS]
         args[args.index("--methods") + 1] = "main"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levelcross.distributions import (
+    ERLANG_MAX_SHAPE,
     Erlang,
     Exponential,
     Mix2Exp,
@@ -257,7 +258,7 @@ class TestSampling:
     @pytest.mark.parametrize("shape", [1, 2, 3, 4, 5])
     def test_erlang_kernel_is_sum_of_exponentials(self, shape):
         erl, expo = Erlang(0.7, shape), Exponential(0.7)
-        transform, n = erl.draw_kernel()
+        transform, scale, divisor, n = erl.draw_kernel()
         assert n == shape
         s1, s2, s3 = LcgStream(2718), LcgStream(2718), LcgStream(2718)
         for _ in range(30):
@@ -266,11 +267,20 @@ class TestSampling:
                 want += expo.sample(s2)
             kernel = 0.0
             for _ in range(n):
-                kernel += transform(s3.next_uniform())
+                s3.next_uniform()
+                kernel += transform(s3.state * scale) / divisor
             before = s1.draws
             assert erl.sample(s1) == kernel == want
             assert s1.draws - before == shape
         assert s1.state == s2.state == s3.state
+
+    def test_kernel_fields(self):
+        # the exponential family hands the simulator math.log1p itself; the
+        # other laws their unchecked quantile on the uniform, divided by 1
+        assert Exponential(0.7).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 1)
+        assert Erlang(0.7, 3).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 3)
+        pareto = Pareto(4.0, 0.35)
+        assert pareto.draw_kernel() == (pareto._inverse, 2.0**-32, 1.0, 1)
 
     def test_no_kernel_once_sample_or_quantile_is_overridden(self):
         class Doubled(Exponential):
@@ -328,6 +338,13 @@ class TestSpecGrammar:
         ):
             with pytest.raises(SpecParseError):
                 parse_spec(bad)
+
+    def test_erlang_shape_is_bounded(self):
+        # one Erlang draw sums `shape` transforms: a huge shape never finishes
+        for bad in ("erlang:1,1e300", f"erlang:1,{ERLANG_MAX_SHAPE + 1}"):
+            with pytest.raises(SpecParseError):
+                parse_spec(bad)
+        assert parse_spec(f"erlang:1,{ERLANG_MAX_SHAPE}") == Erlang(1.0, ERLANG_MAX_SHAPE)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levelcross.sweep as sweep_module
 
@@ -15,6 +17,7 @@ from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.sim import (
     LcgStream,
+    _first_crossing_by_sample,
     first_crossing_time,
     lcg_next,
     next_uniform,
@@ -81,6 +84,29 @@ class TestWilson:
             wilson_interval(0, 0)
 
 
+class _ScaledInverse(Exponential):
+    """An Exponential whose subclass overrides only ``_inverse``; its
+    ``sample()`` draws through the override."""
+
+    def _inverse(self, u):
+        return 1.5 * super()._inverse(u)
+
+
+_RATES = st.floats(0.2, 5.0)
+# all four families; Mix2Exp both with rate2 = 2 rate1 (closed-form
+# quantile) and with other rates (bisection), Pareto with shape in (3, 4]
+_LAWS = st.one_of(
+    st.builds(Exponential, _RATES),
+    st.builds(Erlang, _RATES, st.integers(1, 6)),
+    st.builds(lambda r, p: Mix2Exp(r, 2.0 * r, p), _RATES, st.floats(0.0, 1.0)),
+    st.builds(
+        lambda r, k, p: Mix2Exp(r, k * r, p),
+        _RATES, st.floats(1.1, 4.0).filter(lambda k: k != 2.0), st.floats(0.0, 1.0),
+    ),
+    st.builds(Pareto, st.floats(3.0, 4.0, exclude_min=True), st.floats(0.1, 2.0)),
+)
+
+
 class TestTrajectories:
     def test_huge_level_never_crosses(self):
         est = simulate_conditional(
@@ -135,9 +161,15 @@ class TestTrajectories:
             (Mix2Exp(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
             (Mix2Exp(1.0, 3.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
             (Pareto(4.0, 0.4), Erlang(2.0, 3)),
+            (Exponential(0.7), Exponential(3.0)),
+            (Exponential(1.3), Pareto(4.0, 0.35)),
+            (Pareto(3.5, 0.5), Exponential(2.0)),
+            (Erlang(0.8, 1), Erlang(2.5, 1)),
+            (_ScaledInverse(1.0), Exponential(1.0)),
         ],
         ids=["exp-exp", "erlang-erlang", "erlang-pareto", "mix2exp-pareto",
-             "mix2exp_bisect-pareto", "pareto-erlang"],
+             "mix2exp_bisect-pareto", "pareto-erlang", "exp_rates-exp_rates", "exp-pareto",
+             "pareto-exp", "erlang1-erlang1", "exp_own_inverse-exp"],
     )
     def test_matches_sample_reference_bit_for_bit(self, t_dist, y_dist):
         # the fused loop against the plain one built from sample(): same
@@ -152,6 +184,19 @@ class TestTrajectories:
                     want = _reference_first_crossing_time(t_dist, y_dist, u, c, v, 30.0, ref)
                     assert tau == want
                     assert (stream.state, stream.draws) == (ref.state, ref.draws)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t_dist=_LAWS, y_dist=_LAWS, u=st.floats(0.0, 20.0), c=st.floats(0.05, 3.0),
+        v=st.floats(0.0, 2.0), span=st.floats(0.5, 30.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fused_loop_matches_sample_path(self, t_dist, y_dist, u, c, v, span, seed):
+        assert t_dist.draw_kernel() is not None and y_dist.draw_kernel() is not None
+        stream, ref = LcgStream(seed), LcgStream(seed)
+        for _ in range(5):
+            tau = first_crossing_time(t_dist, y_dist, u, c, v, v + span, stream)
+            assert tau == _first_crossing_by_sample(t_dist, y_dist, u, c, v, v + span, ref)
+            assert (stream.state, stream.draws) == (ref.state, ref.draws)
 
     def test_other_streams_draw_through_sample(self):
         # a stream that is not a plain LcgStream cannot be stepped inline;
