@@ -4,14 +4,14 @@ Four families are supported: Exponential, mixture of two Exponentials,
 Erlang, and Pareto (in the shifted form with density a*b/(x*b+1)^(a+1),
 which has support on all of x > 0).  Each provides the density, the
 distribution function, the quantile, closed-form central moments, and
-inverse-transform sampling from a caller-supplied uniform stream.
+sampling from a caller-supplied uniform stream.
 
 A stream is any object with a ``next_uniform() -> float in (0, 1)``
 method; :class:`levelcross.sim.LcgStream` is the deterministic one used
-throughout.  ``draw_kernel()`` exposes the unchecked transform behind
-``sample()`` on raw generator states, so the simulator can draw without a
-stream object.  It returns None for a law whose ``sample()`` it would not
-reproduce, such as a subclass that overrides ``sample()`` or ``quantile()``.
+throughout.  ``draw_kernel()`` is the one definition of a draw, which
+``sample()`` applies to a stream's uniforms and the simulator to raw
+generator states.  A new law defines ``_inverse`` (the default kernel is
+its inverse transform) or ``draw_kernel()``.
 """
 
 import math
@@ -68,21 +68,14 @@ class Distribution:
         """The quantile without its argument check."""
         raise NotImplementedError
 
-    def draw_kernel(self) -> tuple[Callable[[float], float], float, float, int] | None:
-        """``(transform, scale, divisor, n)``: one ``sample()`` is the sum,
-        in draw order, of ``transform(x * scale) / divisor`` over ``n``
-        fresh generator states ``x``, integers in [1, 2^32) that stand for
-        the uniforms ``x * 2**-32``.  ``transform`` skips the argument
-        check.  The default, ``(self._inverse, 2**-32, 1.0, 1)``, divides
-        exactly by 1.0; the exponential family's transform is ``math.log1p``.
-
-        None when the class's ``sample`` or ``quantile`` is no longer the
-        definition the kernel stands for (a subclass overrode it, or it
-        was replaced on the class); draw with ``sample()`` then.
-        """
-        cls = type(self)
-        if cls.sample is not _SAMPLE or cls.quantile is not _QUANTILE:
-            return None
+    def draw_kernel(self) -> tuple[Callable[[float], float], float, float, int]:
+        """``(transform, scale, divisor, n)``: one draw is the in-order sum
+        of ``transform(x * scale) / divisor`` over ``n`` fresh generator
+        states ``x``, integers in [1, 2^32) that stand for the uniforms
+        ``x * 2**-32``.  ``scale`` is ``2**-32`` or ``-2**-32``, so
+        ``x * scale`` is exactly the uniform or its negative, and
+        ``transform`` skips the argument check.  The default is the inverse
+        transform, divided exactly by 1.0."""
         return self._inverse, _STATE_TO_UNIFORM, 1.0, 1
 
     def moments(self) -> MomentSet:
@@ -92,12 +85,14 @@ class Distribution:
         raise NotImplementedError
 
     def sample(self, stream) -> float:
-        """Inverse-transform draw consuming exactly one uniform."""
-        return self.quantile(stream.next_uniform())
-
-
-# the definitions Distribution.draw_kernel() reproduces
-_SAMPLE, _QUANTILE = Distribution.sample, Distribution.quantile
+        """One draw of ``draw_kernel()``, taking its ``n`` uniforms from
+        ``stream.next_uniform()``."""
+        transform, scale, divisor, n = self.draw_kernel()
+        sign = scale / _STATE_TO_UNIFORM
+        total = transform(stream.next_uniform() * sign) / divisor
+        for _ in range(n - 1):
+            total += transform(stream.next_uniform() * sign) / divisor
+        return total
 
 
 @dataclass(frozen=True)
@@ -122,9 +117,6 @@ class Exponential(Distribution):
         return -math.log1p(-u) / self.rate
 
     def draw_kernel(self):
-        kernel = super().draw_kernel()
-        if kernel is None or type(self)._inverse is not _EXP_INVERSE:
-            return kernel
         # exact sign flips: log1p(x * -2^-32) / -rate == _inverse(x * 2^-32)
         return math.log1p, -_STATE_TO_UNIFORM, -self.rate, 1
 
@@ -134,9 +126,6 @@ class Exponential(Distribution):
 
     def spec_string(self) -> str:
         return f"exp:{self.rate:g}"
-
-
-_EXP_INVERSE = Exponential._inverse  # the definition its draw_kernel() inlines
 
 
 @dataclass(frozen=True)
@@ -266,27 +255,11 @@ class Erlang(Distribution):
         return MomentSet(k / r, k / r**2, 2.0 * k / r**3)
 
     def draw_kernel(self):
-        kernel = Exponential(self.rate).draw_kernel()
-        if kernel is None or type(self).sample is not _ERLANG_SAMPLE:
-            return None
-        return kernel[:3] + (self.shape,)
-
-    def sample(self, stream) -> float:
-        # sum of `shape` exponential draws, consuming exactly `shape`
-        # uniforms; summed draw-by-draw so the result is bit-identical to
-        # adding `shape` Exponential samples from the same stream
-        transform = Exponential(self.rate)._inverse
-        total = 0.0
-        for _ in range(self.shape):
-            total += transform(stream.next_uniform())
-        return total
+        # the sum of `shape` Exponential(rate) draws, added one by one
+        return math.log1p, -_STATE_TO_UNIFORM, -self.rate, self.shape
 
     def spec_string(self) -> str:
         return f"erlang:{self.rate:g},{self.shape}"
-
-
-# the definition Erlang.draw_kernel() reproduces
-_ERLANG_SAMPLE = Erlang.sample
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ the sweep CSV format are documented in :mod:`levelcross.sweep`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distributions import Distribution
 
@@ -80,8 +80,19 @@ class LcgStream:
         return u
 
 
-# the stream method first_crossing_time's fused loop inlines
-_NEXT_UNIFORM = LcgStream.next_uniform
+# the definitions first_crossing_time's fused loop inlines
+_SAMPLE, _NEXT_UNIFORM = Distribution.sample, LcgStream.next_uniform
+
+
+def _fuses(t_dist: Distribution, y_dist: Distribution, stream_type: type = LcgStream) -> bool:
+    """Whether first_crossing_time's fused loop may stand in for the laws'
+    ``sample()`` and the stream's ``next_uniform()``: the stream is a plain
+    :class:`LcgStream` and neither method is overridden or replaced."""
+    return (
+        stream_type is LcgStream
+        and LcgStream.next_uniform is _NEXT_UNIFORM
+        and type(t_dist).sample is _SAMPLE is type(y_dist).sample
+    )
 
 
 def substream_seed(master_seed: int, index: int) -> int:
@@ -105,7 +116,7 @@ class SimEstimate:
     ci_low: float
     ci_high: float
     seed: int
-    successes: int = field(default=0)
+    successes: int
 
     @classmethod
     def from_counts(cls, successes: int, trials: int, seed: int) -> "SimEstimate":
@@ -156,20 +167,13 @@ def first_crossing_time(
     ``stream.draws`` advance exactly as they would.  The generator steps
     inline on a local integer state, and each uniform costs one call of
     its law's ``draw_kernel()`` transform (for the exponential family the
-    C builtin ``math.log1p``).  When that cannot reproduce ``sample()`` (a
-    law without a kernel, or a stream that is not a plain
-    :class:`LcgStream`), the draws go through ``sample()`` itself.
+    C builtin ``math.log1p``).  Where :func:`_fuses` does not hold, the
+    draws go through ``sample()`` itself.
     """
-    t_kernel, y_kernel = t_dist.draw_kernel(), y_dist.draw_kernel()
-    if (
-        t_kernel is None
-        or y_kernel is None
-        or type(stream) is not LcgStream
-        or LcgStream.next_uniform is not _NEXT_UNIFORM
-    ):
+    if not _fuses(t_dist, y_dist, type(stream)):
         return _first_crossing_by_sample(t_dist, y_dist, u, c, v, horizon, stream)
-    t_draw, t_scale, t_div, t_uniforms = t_kernel
-    y_draw, y_scale, y_div, y_uniforms = y_kernel
+    t_draw, t_scale, t_div, t_uniforms = t_dist.draw_kernel()
+    y_draw, y_scale, y_div, y_uniforms = y_dist.draw_kernel()
     t_more, y_more = range(t_uniforms - 1), range(y_uniforms - 1)
     a, b, mask = LCG_MULTIPLIER, LCG_INCREMENT, _MASK32
     x = stream.state

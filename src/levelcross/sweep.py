@@ -24,7 +24,7 @@ from .distributions import Distribution, Exponential
 from .errors import LevelCrossError, MomentUndefinedError
 from .exact import ExpExpModel, exact_conditional
 from .moments import constants_for
-from .sim import DEFAULT_SEED, SimEstimate, simulate_conditional, substream_seed
+from .sim import DEFAULT_SEED, SimEstimate, _fuses, simulate_conditional, substream_seed
 
 __all__ = [
     "SweepGrid",
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _METHODS = ("main", "corrected", "exact", "sim")
+
+_MAX_NODES = 100_000  # lattice points a SweepGrid may ask for; far more than a sweep runs
 
 _SVG_COLORS = {
     "exact": "#1f77b4",
@@ -62,23 +64,35 @@ class SweepGrid:
     refinements: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self):
-        if not self.delta_c > 0.0:
-            raise ValueError("delta_c must be > 0")
-        if not self.c_max >= self.c_min > 0.0:
-            raise ValueError("need 0 < c_min <= c_max")
+        # checked before nodes() builds a lattice that could exhaust memory
+        if not 0.0 < self.delta_c < math.inf:
+            raise ValueError(f"grid step must be finite and > 0, got {self.delta_c!r}")
+        if not 0.0 < self.c_min <= self.c_max < math.inf:
+            raise ValueError(f"grid needs finite 0 < min <= max, got {self.c_min}, {self.c_max}")
+        count = _points(self.c_min, self.c_max, self.delta_c)
+        for lo, hi, factor in self.refinements:
+            if not (math.isfinite(hi - lo) and 1 <= factor < math.inf):
+                raise ValueError(f"refinement {lo, hi, factor} needs finite bounds, factor >= 1")
+            count += _points(lo, hi, self.delta_c / factor)
+        if count > _MAX_NODES:
+            raise ValueError(f"grid needs more than {_MAX_NODES} nodes; use a larger step")
 
     def nodes(self) -> list[float]:
-        count = int(math.floor((self.c_max - self.c_min) / self.delta_c + 1e-9)) + 1
+        count = _points(self.c_min, self.c_max, self.delta_c)
         pts = {round(self.c_min + i * self.delta_c, 12) for i in range(count)}
         for lo, hi, factor in self.refinements:
             step = self.delta_c / factor
-            n = int(math.floor((hi - lo) / step + 1e-9)) + 1
             pts.update(
                 round(lo + i * step, 12)
-                for i in range(n)
+                for i in range(_points(lo, hi, step))
                 if self.c_min <= lo + i * step <= self.c_max
             )
         return sorted(pts)
+
+
+def _points(lo: float, hi: float, step: float) -> int:
+    """Points lo + i * step (i >= 0) in [lo, hi], at most ``_MAX_NODES + 1``."""
+    return max(math.floor(min((hi - lo) / step, _MAX_NODES) + 1e-9) + 1, 0)
 
 
 @dataclass
@@ -238,11 +252,10 @@ def _worker_count(t_dist: Distribution, y_dist: Distribution, nodes: int) -> int
     """How many forked workers simulate a sweep's ``nodes``: one per
     available CPU, at most one per node, and none (the nodes run in this
     process) where fewer than two would run, the platform cannot fork,
-    other threads are running, or a law draws through a replaced
-    ``sample()``, whose calls must all be seen by this process."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    if t_dist.draw_kernel() is None or y_dist.draw_kernel() is None:
+    other threads are running, or the simulator draws through
+    ``sample()`` or ``next_uniform()`` (see :func:`levelcross.sim._fuses`),
+    whose calls must all be seen by this process."""
+    if not hasattr(os, "fork") or threading.active_count() > 1 or not _fuses(t_dist, y_dist):
         return 0
     count = min(_cpu_count(), nodes)
     return count if count >= 2 else 0

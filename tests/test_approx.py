@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelcross.approx import (
     CrossingQuery,
@@ -17,6 +19,7 @@ from levelcross.errors import QuadratureError
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.moments import ModelConstants, constants_for
 from oracles import integral_oracle
+from strategies import LAWS
 
 EXP_PAIR = constants_for(Exponential(1.0), Exponential(1.0))
 
@@ -127,6 +130,25 @@ class TestMainTermProperties:
     def test_infinite_horizon_value_in_unit_interval(self):
         val = main_term(CrossingQuery(10.0, 1.0, 0.0), EXP_PAIR)
         assert 0.0 < val < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t_dist=LAWS, y_dist=LAWS, u=st.floats(0.1, 500.0),
+        rate=st.one_of(st.just(1.0), st.floats(0.05, 20.0)), v=st.floats(0.0, 10.0),
+        spans=st.lists(st.floats(1e-6, 1e6), max_size=6),
+    )
+    def test_all_families_finite_bounded_and_monotone(self, t_dist, y_dist, u, rate, v, spans):
+        # c is a multiple of c* (often c* itself); the horizons ascend to t = inf
+        k = constants_for(t_dist, y_dist)
+        c = rate * k.c_star
+        prev = -math.inf
+        for t in [*sorted(v + span for span in spans), math.inf]:
+            q = CrossingQuery(u, c, v, t)
+            main = main_term(q, k)
+            assert all(map(math.isfinite, vars(corrected_expansion(q, k)).values()))
+            assert -1e-12 <= main <= 1.0 + 1e-12
+            assert main >= prev - 1e-12  # rounding only
+            prev = main
 
     def test_astronomical_finite_horizon(self):
         # intermediates like (x*drift)^2 must not overflow before the

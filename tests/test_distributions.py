@@ -282,22 +282,6 @@ class TestSampling:
         pareto = Pareto(4.0, 0.35)
         assert pareto.draw_kernel() == (pareto._inverse, 2.0**-32, 1.0, 1)
 
-    def test_no_kernel_once_sample_or_quantile_is_overridden(self):
-        class Doubled(Exponential):
-            def quantile(self, u):
-                return 2.0 * super().quantile(u)
-
-        class Shifted(Erlang):
-            def sample(self, stream):
-                return 1.0 + super().sample(stream)
-
-        class Halved(Pareto):
-            def sample(self, stream):
-                return 0.5 * super().sample(stream)
-
-        for dist in (Doubled(1.0), Shifted(1.0, 2), Halved(4.0, 0.35)):
-            assert dist.draw_kernel() is None
-
     def test_sample_moments_close(self):
         n = 100_000
         for d in [Exponential(1.0), Erlang(1.2, 2), Pareto(4.0, 0.4), Mix2Exp(1, 2, 2 / 3)]:

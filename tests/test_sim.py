@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levelcross.sim as sim_module
 import levelcross.sweep as sweep_module
 
 from levelcross.approx import CrossingQuery
-from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
+from levelcross.distributions import Distribution, Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.sim import (
     LcgStream,
     _first_crossing_by_sample,
+    _fuses,
     first_crossing_time,
     lcg_next,
     next_uniform,
@@ -26,6 +28,7 @@ from levelcross.sim import (
     wilson_interval,
 )
 from levelcross.sweep import SweepGrid, evaluate_sweep, sweep_c
+from strategies import LAWS
 
 
 class TestLcg:
@@ -84,27 +87,15 @@ class TestWilson:
             wilson_interval(0, 0)
 
 
-class _ScaledInverse(Exponential):
-    """An Exponential whose subclass overrides only ``_inverse``; its
-    ``sample()`` draws through the override."""
+class _Weibull(Distribution):
+    """A law outside the four families that defines only ``_inverse``, so
+    the default ``draw_kernel()`` draws it."""
+
+    def __init__(self, scale, shape):
+        self.scale, self.shape = scale, shape
 
     def _inverse(self, u):
-        return 1.5 * super()._inverse(u)
-
-
-_RATES = st.floats(0.2, 5.0)
-# all four families; Mix2Exp both with rate2 = 2 rate1 (closed-form
-# quantile) and with other rates (bisection), Pareto with shape in (3, 4]
-_LAWS = st.one_of(
-    st.builds(Exponential, _RATES),
-    st.builds(Erlang, _RATES, st.integers(1, 6)),
-    st.builds(lambda r, p: Mix2Exp(r, 2.0 * r, p), _RATES, st.floats(0.0, 1.0)),
-    st.builds(
-        lambda r, k, p: Mix2Exp(r, k * r, p),
-        _RATES, st.floats(1.1, 4.0).filter(lambda k: k != 2.0), st.floats(0.0, 1.0),
-    ),
-    st.builds(Pareto, st.floats(3.0, 4.0, exclude_min=True), st.floats(0.1, 2.0)),
-)
+        return self.scale * (-math.log1p(-u)) ** (1.0 / self.shape)
 
 
 class TestTrajectories:
@@ -165,16 +156,17 @@ class TestTrajectories:
             (Exponential(1.3), Pareto(4.0, 0.35)),
             (Pareto(3.5, 0.5), Exponential(2.0)),
             (Erlang(0.8, 1), Erlang(2.5, 1)),
-            (_ScaledInverse(1.0), Exponential(1.0)),
+            (_Weibull(1.0, 1.5), Exponential(1.0)),
         ],
         ids=["exp-exp", "erlang-erlang", "erlang-pareto", "mix2exp-pareto",
              "mix2exp_bisect-pareto", "pareto-erlang", "exp_rates-exp_rates", "exp-pareto",
-             "pareto-exp", "erlang1-erlang1", "exp_own_inverse-exp"],
+             "pareto-exp", "erlang1-erlang1", "own_inverse-exp"],
     )
     def test_matches_sample_reference_bit_for_bit(self, t_dist, y_dist):
         # the fused loop against the plain one built from sample(): same
         # epochs, same final generator state, same draw count.  The second
         # seed is the predecessor of state 0, so the first draw must skip it.
+        assert _fuses(t_dist, y_dist)
         zero_pred = (pow(23456789, -1, 2**32) * -22185) % 2**32
         for seed in (20170101, zero_pred):
             stream, ref = LcgStream(seed), LcgStream(seed)
@@ -187,11 +179,11 @@ class TestTrajectories:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        t_dist=_LAWS, y_dist=_LAWS, u=st.floats(0.0, 20.0), c=st.floats(0.05, 3.0),
+        t_dist=LAWS, y_dist=LAWS, u=st.floats(0.0, 20.0), c=st.floats(0.05, 3.0),
         v=st.floats(0.0, 2.0), span=st.floats(0.5, 30.0), seed=st.integers(0, 2**32 - 1),
     )
     def test_fused_loop_matches_sample_path(self, t_dist, y_dist, u, c, v, span, seed):
-        assert t_dist.draw_kernel() is not None and y_dist.draw_kernel() is not None
+        assert _fuses(t_dist, y_dist)
         stream, ref = LcgStream(seed), LcgStream(seed)
         for _ in range(5):
             tau = first_crossing_time(t_dist, y_dist, u, c, v, v + span, stream)
@@ -220,25 +212,50 @@ class TestTrajectories:
         assert stream.calls == stream.draws == plain.draws
         assert stream.state == plain.state
 
-    def test_overridden_quantile_is_honoured(self):
-        class Doubled(Exponential):
-            def quantile(self, u):
-                return 2.0 * super().quantile(u)
+    def test_overridden_draw_kernel_is_honoured_by_both_paths(self):
+        # a kernel of two exponential transforms makes the law Erlang(rate, 2)
+        class Summed(Exponential):
+            def draw_kernel(self):
+                return super().draw_kernel()[:3] + (2,)
 
-        stream, ref = LcgStream(7), LcgStream(7)
-        epochs = []
+        law, erlang = Summed(1.3), Erlang(1.3, 2)
+        assert _fuses(law, law)
+        fused, by_sample, ref, plain = (LcgStream(7) for _ in range(4))
         for _ in range(40):
-            tau = first_crossing_time(Doubled(1.0), Doubled(1.0), 5.0, 1.0, 0.0, 30.0, stream)
-            assert tau == _reference_first_crossing_time(
-                Doubled(1.0), Doubled(1.0), 5.0, 1.0, 0.0, 30.0, ref
-            )
-            epochs.append(tau)
+            want = first_crossing_time(erlang, erlang, 5.0, 1.0, 0.0, 30.0, ref)
+            assert first_crossing_time(law, law, 5.0, 1.0, 0.0, 30.0, fused) == want
+            assert _first_crossing_by_sample(law, law, 5.0, 1.0, 0.0, 30.0, by_sample) == want
+            first_crossing_time(Exponential(1.3), Exponential(1.3), 5.0, 1.0, 0.0, 30.0, plain)
+        assert (fused.state, fused.draws) == (by_sample.state, by_sample.draws)
+        assert (fused.state, fused.draws) == (ref.state, ref.draws)
+        assert fused.draws != plain.draws
+        s1, s2 = LcgStream(11), LcgStream(11)
+        assert [law.sample(s1) for _ in range(20)] == [erlang.sample(s2) for _ in range(20)]
+
+    def test_overridden_sample_draws_through_sample(self, monkeypatch):
+        calls = []
+
+        class Counted(Exponential):
+            def sample(self, stream):
+                calls.append(None)
+                return super().sample(stream)
+
+        paths = []
+        by_sample = sim_module._first_crossing_by_sample
+
+        def spy(*args):
+            paths.append(args[:2])
+            return by_sample(*args)
+
+        monkeypatch.setattr(sim_module, "_first_crossing_by_sample", spy)
+        law, plain = Counted(1.0), Exponential(1.0)
+        stream, ref = LcgStream(7), LcgStream(7)
+        for _ in range(40):
+            tau = first_crossing_time(law, plain, 5.0, 1.0, 0.0, 30.0, stream)
+            assert tau == first_crossing_time(plain, plain, 5.0, 1.0, 0.0, 30.0, ref)
+        assert paths == [(law, plain)] * 40
+        assert calls
         assert (stream.state, stream.draws) == (ref.state, ref.draws)
-        plain = LcgStream(7)
-        assert epochs != [
-            first_crossing_time(Exponential(1.0), Exponential(1.0), 5.0, 1.0, 0.0, 30.0, plain)
-            for _ in range(40)
-        ]
 
     def test_requires_finite_horizon(self):
         with pytest.raises(ValueError):
@@ -482,3 +499,30 @@ class TestSweepGrid:
             SweepGrid(1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             SweepGrid(2.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.05, math.inf, 0.05), "finite 0 < min <= max"),
+        ((0.05, math.nan, 0.05), "finite 0 < min <= max"),
+        ((0.0, 2.0, 0.5), "finite 0 < min <= max"),
+        ((0.05, 2.0, math.inf), "step"),
+        ((0.05, 2.0, 0.05, ((0.5, 1.0, 0),)), "factor"),
+        ((0.05, 2.0, 0.05, ((0.5, 1.0, math.inf),)), "factor"),
+        ((0.05, 2.0, 0.05, ((0.5, math.inf, 2),)), "finite bounds"),
+    ])
+    def test_rejects_bad_lattices(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            SweepGrid(*args)
+
+    def test_node_count_limit(self, monkeypatch):
+        # the limit holds before anything is built: a lattice of 1.95e9
+        # points, or a span of 1e600 steps, is refused at once
+        for args in [(0.05, 2.0, 1e-9), (1e-300, 1e300, 1e-300),
+                     (0.05, 2.0, 0.05, ((0.5, 1.0, 10**12),))]:
+            with pytest.raises(ValueError, match="more than 100000 nodes"):
+                SweepGrid(*args)
+        # the limit counts the 40 base and 5 refined points, 3 of them
+        # shared, as 45
+        monkeypatch.setattr(sweep_module, "_MAX_NODES", 45)
+        assert len(SweepGrid(0.05, 2.0, 0.05, ((1.0, 1.1, 2),)).nodes()) == 42
+        with pytest.raises(ValueError, match="more than 45 nodes"):
+            SweepGrid(0.05, 2.0, 0.05, ((1.0, 1.125, 2),))
