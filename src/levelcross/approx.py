@@ -11,12 +11,15 @@ All three integrals have closed forms built from the standard normal cdf.
 
 Every product of the shape exp(huge) * Phi(-huge) is evaluated as
 exp(A + log Phi(-B)); the plain product overflows long before the result
-leaves [0, 1].
+leaves [0, 1].  At drift rates so small that c^2 D^2 underflows, or that
+a closed form comes out non-finite or the main term outside [0, 1], the
+float arithmetic has broken down and the closed forms raise ValueError.
 """
 
 import math
-from dataclasses import dataclass
+import sys
 
+from ._record import record
 from .moments import ModelConstants
 from .specfun import log_std_normal_cdf, std_normal_cdf
 
@@ -29,8 +32,13 @@ __all__ = [
     "corrected_expansion",
 ]
 
+# rounding may carry the main term this far outside [0, 1]; farther, the
+# arithmetic failed.  The corrections need only be finite.
+_RANGE_SLACK = 1e-12
+_LARGEST = sys.float_info.max
 
-@dataclass(frozen=True)
+
+@record
 class CrossingQuery:
     """Evaluation point: finite level u > 0, finite drift rate c > 0,
     first-renewal time v >= 0 and horizon t > v (``math.inf`` for the
@@ -55,7 +63,7 @@ class CrossingQuery:
         return self.u + self.c * self.v
 
 
-@dataclass(frozen=True)
+@record
 class ApproxResult:
     main: float
     correction_f: float
@@ -76,6 +84,8 @@ class _Bracket:
         self.c = q.c
         self.cd = q.c * math.sqrt(k.D2)
         self.c2d2 = q.c * q.c * k.D2
+        if self.c2d2 == 0.0:
+            raise ValueError(f"drift rate c = {q.c!r} is too small: c^2 D^2 underflows to 0")
         self.drift = 1.0 - q.c * k.M  # positive below the critical rate
         self.expo = 2.0 * self.w * self.drift / self.c2d2
         self.x1 = math.inf if q.t == math.inf else q.c * (q.t - q.v) / self.w + 1.0
@@ -116,14 +126,25 @@ class _Bracket:
         expo = -self.w / (2.0 * self.c2d2) * (t / x) * t
         return math.exp(expo) if expo > -745.0 else 0.0
 
-    def diff(self, endpoint) -> float:
-        return endpoint(self.x1) - endpoint(1.0)
+    def diff(self, endpoint, lo: float = -_LARGEST, hi: float = _LARGEST) -> float:
+        """endpoint(x1) - endpoint(1), which must lie in [lo, hi]: outside,
+        or at nan or an overflow, the float arithmetic has broken down."""
+        try:
+            value = endpoint(self.x1) - endpoint(1.0)
+        except OverflowError:
+            value = math.inf
+        if not lo <= value <= hi:
+            raise ValueError(
+                f"closed form reads {value!r} at drift rate c = {self.c!r}: "
+                "the float arithmetic broke down"
+            )
+        return value
 
 
 def main_term(q: CrossingQuery, k: ModelConstants) -> float:
     """Inverse-Gaussian-type main approximation of the crossing probability."""
     br = _Bracket(q, k)
-    return br.diff(br.base)
+    return br.diff(br.base, -_RANGE_SLACK, 1.0 + _RANGE_SLACK)
 
 
 def first_correction(q: CrossingQuery, k: ModelConstants) -> float:

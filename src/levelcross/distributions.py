@@ -16,8 +16,8 @@ its inverse transform) or ``draw_kernel()``.
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import MomentUndefinedError, SpecParseError
 
 __all__ = [
@@ -40,7 +40,7 @@ ERLANG_MAX_SHAPE = 1000
 _STATE_TO_UNIFORM = 2.0**-32  # levelcross.sim's generator state x is the uniform x * 2^-32
 
 
-@dataclass(frozen=True)
+@record
 class MomentSet:
     """Mean, variance and third central moment."""
 
@@ -95,7 +95,7 @@ class Distribution:
         return total
 
 
-@dataclass(frozen=True)
+@record
 class Exponential(Distribution):
     rate: float
 
@@ -128,7 +128,7 @@ class Exponential(Distribution):
         return f"exp:{self.rate:g}"
 
 
-@dataclass(frozen=True)
+@record
 class Mix2Exp(Distribution):
     """Mixture p*Exponential(rate1) + (1-p)*Exponential(rate2), rate1 < rate2."""
 
@@ -206,7 +206,7 @@ class Mix2Exp(Distribution):
         return f"mix2exp:{self.rate1:g},{self.rate2:g},{self.p:g}"
 
 
-@dataclass(frozen=True)
+@record
 class Erlang(Distribution):
     rate: float
     shape: int
@@ -262,7 +262,7 @@ class Erlang(Distribution):
         return f"erlang:{self.rate:g},{self.shape}"
 
 
-@dataclass(frozen=True)
+@record
 class Pareto(Distribution):
     """Density a*b/(x*b + 1)^(a+1) on x > 0; heavy-tailed with index a."""
 

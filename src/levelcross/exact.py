@@ -22,8 +22,8 @@ integrated by adaptive Simpson, and serves as an independent cross-check.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .approx import CrossingQuery
 from .errors import SeriesTruncationError
 from .quadrature import adaptive_simpson, integrate_log_scaled
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ExpExpModel:
     """Rates of the exponential gap law (lam) and jump law (mu)."""
 

@@ -7,8 +7,7 @@ K_F = kf_coeff/c and K_S = ks_coeff/c.  ``model_constants_generic`` is the
 defining computation.
 """
 
-from dataclasses import dataclass
-
+from ._record import record
 from .distributions import Distribution, MomentSet
 from .errors import MomentUndefinedError
 
@@ -19,7 +18,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ModelConstants:
     M: float
     D2: float

@@ -15,7 +15,7 @@ an independent integrator.
 """
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import QuadratureError
 

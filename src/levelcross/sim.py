@@ -15,8 +15,8 @@ the sweep CSV format are documented in :mod:`levelcross.sweep`.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .distributions import Distribution
 
 __all__ = [
@@ -109,7 +109,7 @@ def substream_seed(master_seed: int, index: int) -> int:
     return z & _MASK32
 
 
-@dataclass(frozen=True)
+@record
 class SimEstimate:
     estimate: float
     trials: int

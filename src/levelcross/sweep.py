@@ -17,8 +17,8 @@ import os
 import threading
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
+from ._record import fresh, record
 from .approx import CrossingQuery, corrected_expansion, main_term
 from .distributions import Distribution, Exponential
 from .errors import LevelCrossError, MomentUndefinedError
@@ -52,7 +52,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
+@record
 class SweepGrid:
     """Drift-rate lattice c_i = c_min + i * delta_c up to c_max, with
     optional locally refined intervals (lo, hi, factor) that subdivide the
@@ -95,14 +95,14 @@ def _points(lo: float, hi: float, step: float) -> int:
     return max(math.floor(min((hi - lo) / step, _MAX_NODES) + 1e-9) + 1, 0)
 
 
-@dataclass
+@record
 class SweepResult:
     """Rows of (x, {method: value}); a ``sim`` value is the node's
     :class:`SimEstimate`, every other value a float."""
 
     var: str
     methods: tuple[str, ...]
-    rows: list[tuple[float, dict[str, float | SimEstimate]]] = field(default_factory=list)
+    rows: list[tuple[float, dict[str, float | SimEstimate]]] = fresh(list)
 
     def header(self) -> list[str]:
         cols = ["x", *self.methods]

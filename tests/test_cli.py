@@ -104,6 +104,15 @@ class TestPointCommands:
         assert 0.0 < float(kv["main"]) < 1.0
         assert set(kv) >= {"main", "correction_f", "correction_s", "corrected"}
 
+    def test_approx_at_vanishing_drift_rate_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            ["approx", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1e-300"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "c = 1e-300" in err
+
     def test_simulate_point(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1",
