@@ -7,13 +7,18 @@ expansion adds two skewness corrections weighted by K_F and K_S:
 
     corrected(t) = main(t) + K_F * first(t) + K_S * second(t)
 
-All three integrals have closed forms built from the standard normal cdf.
+Each of the three integrals is a difference F(x1) - F(1) of endpoint
+functions, x1 = c(t-v)/(u+cv) + 1, built from the same three quantities:
+a standard normal cdf, a product exp(A) * Phi(-B) and a Gaussian kernel.
+One pass evaluates them once at each endpoint and forms all three
+differences; each public function checks the one it returns.
 
 Every product of the shape exp(huge) * Phi(-huge) is evaluated as
 exp(A + log Phi(-B)); the plain product overflows long before the result
-leaves [0, 1].  At drift rates so small that c^2 D^2 underflows, or that
-a closed form comes out non-finite or the main term outside [0, 1], the
-float arithmetic has broken down and the closed forms raise ValueError.
+leaves [0, 1].  At drift rates so small that c^2 D^2 underflows or
+1 - c M rounds to 1, or that a closed form comes out non-finite or the
+main term outside [0, 1], the float arithmetic has broken down and the
+closed forms raise ValueError.
 """
 
 import math
@@ -71,125 +76,99 @@ class ApproxResult:
     corrected: float
 
 
-class _Bracket:
-    """Shared endpoint machinery for the three closed forms.
+def _endpoint(x: float, w: float, cd: float, c2d2: float, drift: float, expo: float):
+    """(base, prod, gauss) at one x of [1, x1], and their x -> inf limits:
 
-    Endpoints are evaluated at x in [1, x1] with x1 = c(t-v)/(u+cv) + 1;
-    the closed forms are differences F(x1) - F(1) of endpoint functions
-    built from phi_plus, phi_prod and the Gaussian kernel below.
+    prod = exp(expo) * Phi(-sqrt(w)/(cD sqrt(x)) * (x*drift + 1)), log-space,
+    base = Phi(sqrt(w)/(cD sqrt(x)) * (x*drift - 1)) + prod,
+    gauss = exp(-w (x*drift - 1)^2 / (2 x c^2 D^2)).
     """
+    if x == math.inf:
+        if drift > 0.0:
+            return 1.0, 0.0, 0.0  # Gaussian tail beats the constant exponential
+        if drift < 0.0:
+            prod = math.exp(expo)
+            return prod, prod, 0.0
+        return 1.0, 0.5, 0.0  # expo == 0 and the Phi arguments tend to 0
+    scale = math.sqrt(w) / (cd * math.sqrt(x))
+    dev = x * drift - 1.0
+    prod = math.exp(expo + log_std_normal_cdf(-scale * (x * drift + 1.0)))
+    # grouped as (dev/x)*dev so the square never overflows for huge x
+    arg = -w / (2.0 * c2d2) * (dev / x) * dev
+    gauss = math.exp(arg) if arg > -745.0 else 0.0
+    return std_normal_cdf(scale * dev) + prod, prod, gauss
 
-    def __init__(self, q: CrossingQuery, k: ModelConstants):
-        self.w = q.w
-        self.c = q.c
-        self.cd = q.c * math.sqrt(k.D2)
-        self.c2d2 = q.c * q.c * k.D2
-        if self.c2d2 == 0.0:
-            raise ValueError(f"drift rate c = {q.c!r} is too small: c^2 D^2 underflows to 0")
-        self.drift = 1.0 - q.c * k.M  # positive below the critical rate
-        self.expo = 2.0 * self.w * self.drift / self.c2d2
-        self.x1 = math.inf if q.t == math.inf else q.c * (q.t - q.v) / self.w + 1.0
 
-    def scale(self, x: float) -> float:
-        return math.sqrt(self.w) / (self.cd * math.sqrt(x))
+def _closed_forms(q: CrossingQuery, k: ModelConstants):
+    """Unchecked (main, first, second) from one _endpoint call at each of
+    x1 and 1; an overflow reads as inf."""
+    w, c = q.w, q.c
+    cd = c * math.sqrt(k.D2)
+    c2d2 = c * c * k.D2
+    if c2d2 == 0.0:
+        raise ValueError(f"drift rate c = {c!r} is too small: c^2 D^2 underflows to 0")
+    drift = 1.0 - c * k.M  # positive below the critical rate
+    if drift == 1.0:
+        raise ValueError(f"1 - c M reads 1.0 at drift rate c = {c!r}: c M is lost to rounding")
+    expo = 2.0 * w * drift / c2d2
+    ratio = w * drift / c2d2
+    x1 = math.inf if q.t == math.inf else c * (q.t - q.v) / w + 1.0
+    ends = []
+    try:
+        for x in (x1, 1.0):
+            base, prod, gauss = _endpoint(x, w, cd, c2d2, drift, expo)
+            first = -(c2d2 / w) * base + 2.0 * drift * prod
+            second = -(3.0 * c2d2 / w) * base + 2.0 * drift * (3.0 - 4.0 * ratio) * prod
+            if x != math.inf:
+                first -= 2.0 * cd / math.sqrt(2.0 * math.pi * x * w) * gauss
+                second -= (
+                    math.sqrt(2.0)
+                    * cd
+                    / (math.sqrt(math.pi) * math.sqrt(w) * math.sqrt(x))
+                    * (3.0 * (1.0 - ratio) + w / (c2d2 * x))
+                    * gauss
+                )
+            ends.append((base, first, second))
+    except OverflowError:
+        return math.inf, math.inf, math.inf
+    (base1, first1, second1), (base0, first0, second0) = ends
+    return base1 - base0, first1 - first0, second1 - second0
 
-    def phi_plus(self, x: float) -> float:
-        """Phi(sqrt(w)/(cD sqrt(x)) * (x*drift - 1)), and its x -> inf limit."""
-        if x == math.inf:
-            if self.drift > 0.0:
-                return 1.0
-            if self.drift < 0.0:
-                return 0.0
-            return 0.5
-        return std_normal_cdf(self.scale(x) * (x * self.drift - 1.0))
 
-    def phi_prod(self, x: float) -> float:
-        """exp(expo) * Phi(-sqrt(w)/(cD sqrt(x)) * (x*drift + 1)), log-space."""
-        if x == math.inf:
-            if self.drift > 0.0:
-                return 0.0  # Gaussian tail beats the constant exponential
-            if self.drift < 0.0:
-                return math.exp(self.expo)
-            return 0.5  # expo == 0 and the Phi argument tends to 0 from below
-        return math.exp(self.expo + log_std_normal_cdf(-self.scale(x) * (x * self.drift + 1.0)))
-
-    def base(self, x: float) -> float:
-        """Endpoint of the main-term bracket."""
-        return self.phi_plus(x) + self.phi_prod(x)
-
-    def gauss(self, x: float) -> float:
-        """exp(-w (x*drift - 1)^2 / (2 x c^2 D^2)), zero in the x -> inf limit."""
-        if x == math.inf:
-            return 0.0
-        # grouped as (t/x)*t so the square never overflows for huge x
-        t = x * self.drift - 1.0
-        expo = -self.w / (2.0 * self.c2d2) * (t / x) * t
-        return math.exp(expo) if expo > -745.0 else 0.0
-
-    def diff(self, endpoint, lo: float = -_LARGEST, hi: float = _LARGEST) -> float:
-        """endpoint(x1) - endpoint(1), which must lie in [lo, hi]: outside,
-        or at nan or an overflow, the float arithmetic has broken down."""
-        try:
-            value = endpoint(self.x1) - endpoint(1.0)
-        except OverflowError:
-            value = math.inf
-        if not lo <= value <= hi:
-            raise ValueError(
-                f"closed form reads {value!r} at drift rate c = {self.c!r}: "
-                "the float arithmetic broke down"
-            )
-        return value
+def _checked(value: float, c: float, lo: float = -_LARGEST, hi: float = _LARGEST) -> float:
+    """value, which must lie in [lo, hi]: outside, or at nan or an
+    overflow, the float arithmetic has broken down."""
+    if not lo <= value <= hi:
+        raise ValueError(
+            f"closed form reads {value!r} at drift rate c = {c!r}: "
+            "the float arithmetic broke down"
+        )
+    return value
 
 
 def main_term(q: CrossingQuery, k: ModelConstants) -> float:
     """Inverse-Gaussian-type main approximation of the crossing probability."""
-    br = _Bracket(q, k)
-    return br.diff(br.base, -_RANGE_SLACK, 1.0 + _RANGE_SLACK)
+    return _checked(_closed_forms(q, k)[0], q.c, -_RANGE_SLACK, 1.0 + _RANGE_SLACK)
 
 
 def first_correction(q: CrossingQuery, k: ModelConstants) -> float:
     """First correction integral; O(1/(u+cv)) and usually negative."""
-    br = _Bracket(q, k)
-
-    def endpoint(x: float) -> float:
-        val = -(br.c2d2 / br.w) * br.base(x)
-        val += 2.0 * br.drift * br.phi_prod(x)
-        if x != math.inf:
-            val -= 2.0 * br.cd / math.sqrt(2.0 * math.pi * x * br.w) * br.gauss(x)
-        return val
-
-    return br.diff(endpoint)
+    return _checked(_closed_forms(q, k)[1], q.c)
 
 
 def second_correction(q: CrossingQuery, k: ModelConstants) -> float:
     """Second correction integral; O(1/(u+cv)) like the first."""
-    br = _Bracket(q, k)
-    ratio = br.w * br.drift / br.c2d2
-
-    def endpoint(x: float) -> float:
-        val = -(3.0 * br.c2d2 / br.w) * br.base(x)
-        val += 2.0 * br.drift * (3.0 - 4.0 * ratio) * br.phi_prod(x)
-        if x != math.inf:
-            poly_over_x = 3.0 * (1.0 - ratio) + br.w / (br.c2d2 * x)
-            val -= (
-                math.sqrt(2.0)
-                * br.cd
-                / (math.sqrt(math.pi) * math.sqrt(br.w) * math.sqrt(x))
-                * poly_over_x
-                * br.gauss(x)
-            )
-        return val
-
-    return br.diff(endpoint)
+    return _checked(_closed_forms(q, k)[2], q.c)
 
 
 def corrected_expansion(q: CrossingQuery, k: ModelConstants) -> ApproxResult:
     """Main term plus both corrections weighted by K_F and K_S at the
     query's drift rate.  The corrected value may legitimately be negative
     and is not clamped here."""
-    m = main_term(q, k)
-    cf = first_correction(q, k)
-    cs = second_correction(q, k)
+    main, first, second = _closed_forms(q, k)
+    m = _checked(main, q.c, -_RANGE_SLACK, 1.0 + _RANGE_SLACK)
+    cf = _checked(first, q.c)
+    cs = _checked(second, q.c)
     return ApproxResult(
         main=m,
         correction_f=cf,

@@ -65,12 +65,14 @@ class TestQueryValidation:
 class TestTinyDriftRates:
     """At scattered drift rates below c = 1e-8 the closed forms' float
     arithmetic breaks down for the exponential pair at u = 10: c^2 D^2
-    underflows, results overflow or turn nan, or the main term leaves
-    [0, 1].  They raise instead of answering."""
+    underflows, 1 - c M rounds to 1 (every c below about 5.6e-17, where
+    the main term read 0.5 and the corrections up to 4e39), results
+    overflow or turn nan, or the main term leaves [0, 1].  They raise
+    instead of answering."""
 
     CLOSED_FORMS = (main_term, first_correction, second_correction)
 
-    @pytest.mark.parametrize("c", [1e-300, 1e-170, 1e-155, 1e-30, 1e-12])
+    @pytest.mark.parametrize("c", [1e-300, 1e-170, 1e-155, 1e-30, 1e-20, 1e-18, 1e-17, 1e-12])
     @pytest.mark.parametrize("t", [math.inf, 1e4])
     def test_raise_where_arithmetic_fails(self, c, t):
         q = CrossingQuery(10.0, c, 0.0, t)
@@ -282,3 +284,82 @@ class TestErrorOrder:
                 (x - mx) ** 2 for x in xs
             )
             assert -1.1 <= slope <= -0.9, (column, slope, errors)
+
+
+GOLDEN_PAIRS = {
+    "exp": (Exponential(1.0), Exponential(1.0)),
+    "erlang": (Erlang(1.2, 2), Erlang(1.0, 2)),
+    "mix2exp": (Mix2Exp(1.0, 3.0, 2.0 / 3.0), Mix2Exp(1.0, 2.0, 2.0 / 3.0)),
+    "pareto": (Pareto(4.0, 0.4), Pareto(4.0, 0.35)),
+}
+
+
+def _outcome(closed_form, q, k):
+    """("value", float.hex of the value) or ("error", repr of the error)."""
+    try:
+        return "value", closed_form(q, k).hex()
+    except (ArithmeticError, ValueError) as err:
+        return "error", repr(err)
+
+
+class TestGoldenValues:
+    """Bit-exact values of the closed forms at u = 10, v = 0.5 for the four
+    families at 0.7 c*, c* and 1.3 c*, at t = 200 and t = inf.  At c* the
+    drift 1 - c M is 0 for exp, erlang and pareto and 1.1e-16 for mix2exp,
+    so the t = inf points take all three limits (drift > 0, = 0, < 0).
+    Recorded as float.hex (main, correction_f, correction_s, corrected)
+    before the closed forms shared one endpoint pass."""
+
+    @pytest.mark.parametrize("pair, rate, t, want", [
+        ("exp", 0.7, 200.0, ("0x1.f64de6550f11ep-1", "-0x1.4272e7b70c69ap-4", "-0x1.54eec1c2d15bcp-3", "0x1.c978061dc7406p-1")),
+        ("exp", 0.7, math.inf, ("0x1.f6aca0eb89fdbp-1", "-0x1.41be741dd7320p-4", "-0x1.5172afb4a2cd6p-3", "0x1.ca2e7530ef8ffp-1")),
+        ("exp", 1.0, 200.0, ("0x1.2c449eb9d72f6p-1", "-0x1.3cf7c80e9024ep-3", "-0x1.66323457c6dfep-2", "0x1.d75db75beaa22p-2")),
+        ("exp", 1.0, math.inf, ("0x1.f4c3649093960p-1", "-0x1.49df537789f93p-3", "-0x1.67326f2bf1f7ep-2", "0x1.b33f21739cb77p-1")),
+        ("exp", 1.3, 200.0, ("0x1.fc05e8b5ae33cp-4", "-0x1.6c1da3231868bp-4", "-0x1.89476215cc44bp-2", "0x1.0ef50f776786ep-5")),
+        ("exp", 1.3, math.inf, ("0x1.fd3910fc6e088p-4", "-0x1.6c84040b2ec17p-4", "-0x1.8a5984325853dp-2", "0x1.0f8e415855e34p-5")),
+        ("erlang", 0.7, 200.0, ("0x1.f6c64ae6074d7p-1", "-0x1.40b9174a5b4bap-4", "-0x1.52b9bffcef494p-3", "0x1.bbe52e88ce5b9p-1")),
+        ("erlang", 0.7, math.inf, ("0x1.f6dc99936736ep-1", "-0x1.408d0e31cc8b1p-4", "-0x1.51aa05c599adap-3", "0x1.bc17aea674f1dp-1")),
+        ("erlang", 1.0, 200.0, ("0x1.3a70bd6aaa94fp-1", "-0x1.3dc9c2d81c2e3p-3", "-0x1.6677a1dd5a7fep-2", "0x1.cbd121a7f77e4p-2")),
+        ("erlang", 1.0, math.inf, ("0x1.f514d57fa2a51p-1", "-0x1.4806df9e03c1ap-3", "-0x1.67260e9d4a4cap-2", "0x1.9f2f37b838e35p-1")),
+        ("erlang", 1.3, 200.0, ("0x1.f28e14389abcap-4", "-0x1.6504a9d8aff63p-4", "-0x1.867373ea34c92p-2", "0x1.e725a67524de0p-7")),
+        ("erlang", 1.3, math.inf, ("0x1.f309a28fe7ef8p-4", "-0x1.652d4a6ec56d9p-4", "-0x1.86eee95031822p-2", "0x1.e78d589f60940p-7")),
+        ("mix2exp", 0.7, 200.0, ("0x1.f574e4c5cc2f5p-1", "-0x1.4802112c97d00p-4", "-0x1.52bfe5ca30afcp-3", "0x1.cea964c5b164cp-1")),
+        ("mix2exp", 0.7, math.inf, ("0x1.f5b7a9b8d92c9p-1", "-0x1.4780f81e15220p-4", "-0x1.501e11f15652cp-3", "0x1.cf2cb391b5d92p-1")),
+        ("mix2exp", 1.0, 200.0, ("0x1.33a97a3335b6ap-1", "-0x1.4465d07206368p-3", "-0x1.66461c7b01a59p-2", "0x1.f5f57f024ff64p-2")),
+        ("mix2exp", 1.0, math.inf, ("0x1.f3a3e7fa6e344p-1", "-0x1.500b17b74106fp-3", "-0x1.6718cc7144459p-2", "0x1.ba758f1b9c652p-1")),
+        ("mix2exp", 1.3, 200.0, ("0x1.0b40ce0387700p-3", "-0x1.7f216ae7021c4p-4", "-0x1.91bf05e8ac3f8p-2", "0x1.6656bb7996094p-5")),
+        ("mix2exp", 1.3, math.inf, ("0x1.0bc4e5d60224bp-3", "-0x1.7f78f8ee80afep-4", "-0x1.92ad2af7a0db4p-2", "0x1.66deda3628f14p-5")),
+        ("pareto", 0.7, 200.0, ("0x1.d5834d7744649p-1", "-0x1.912afbf920c9ap-4", "-0x1.0383db1c2d9dcp-3", "0x1.b563244730bb2p-1")),
+        ("pareto", 0.7, math.inf, ("0x1.d7340fd0669a0p-1", "-0x1.8dd17c8f060ecp-4", "-0x1.f04712d6d8790p-4", "0x1.b82b11e8303b2p-1")),
+        ("pareto", 1.0, 200.0, ("0x1.429bd0dbbb357p-1", "-0x1.9e4286916e872p-3", "-0x1.257a44b700e9ap-2", "0x1.10fa74104fa41p-1")),
+        ("pareto", 1.0, math.inf, ("0x1.cefa4b537cbb5p-1", "-0x1.a66aff717ae4cp-3", "-0x1.25c6c48a4c972p-2", "0x1.9d0e1ac6a7515p-1")),
+        ("pareto", 1.3, 200.0, ("0x1.01b7fef1c9da8p-2", "-0x1.7215d7d64d116p-3", "-0x1.b06b88507aa98p-2", "0x1.398974b4f0cfcp-3")),
+        ("pareto", 1.3, math.inf, ("0x1.03c3f09a3c90ep-2", "-0x1.736d475dd1a34p-3", "-0x1.b4eb1aae4c0e0p-2", "0x1.3bc568b242cccp-3")),
+    ])
+    def test_values(self, pair, rate, t, want):
+        k = constants_for(*GOLDEN_PAIRS[pair])
+        res = corrected_expansion(CrossingQuery(10.0, rate * k.c_star, 0.5, t), k)
+        assert tuple(x.hex() for x in vars(res).values()) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t_dist=LAWS, y_dist=LAWS, u=st.floats(0.1, 500.0),
+        log_rate=st.one_of(st.just(0.0), st.floats(-20.0, 2.0)), v=st.floats(0.0, 10.0),
+        span=st.one_of(st.just(math.inf), st.floats(1e-6, 1e6)),
+    )
+    def test_each_form_is_its_field_of_the_expansion(self, t_dist, y_dist, u, log_rate, v, span):
+        # c runs from 1e-20 c* to 100 c*, so some queries raise
+        k = constants_for(t_dist, y_dist)
+        q = CrossingQuery(u, 10.0**log_rate * k.c_star, v, v + span)
+        singles = [
+            _outcome(closed_form, q, k)
+            for closed_form in (main_term, first_correction, second_correction)
+        ]
+        try:
+            res = corrected_expansion(q, k)
+        except (ArithmeticError, ValueError) as err:
+            # the expansion raises the first error of main, first, second
+            assert ("error", repr(err)) == next(s for s in singles if s[0] == "error")
+        else:
+            fields = (res.main, res.correction_f, res.correction_s)
+            assert singles == [("value", x.hex()) for x in fields]
