@@ -10,8 +10,9 @@ A stream is any object with a ``next_uniform() -> float in (0, 1)``
 method; :class:`levelcross.sim.LcgStream` is the deterministic one used
 throughout.  ``draw_kernel()`` is the one definition of a draw, which
 ``sample()`` applies to a stream's uniforms and the simulator to raw
-generator states.  A new law defines ``_inverse`` (the default kernel is
-its inverse transform) or ``draw_kernel()``.
+generator states; each family's kernel binds the law's constants once, not
+per draw.  A new law defines ``_inverse`` or ``draw_kernel()``; by default
+each is derived from the other.
 """
 
 import math
@@ -65,8 +66,10 @@ class Distribution:
         return self._inverse(u)
 
     def _inverse(self, u: float) -> float:
-        """The quantile without its argument check."""
-        raise NotImplementedError
+        """The quantile without its argument check; by default the kernel
+        applied to ``u``, which fits a kernel that inverts one uniform."""
+        transform, scale, divisor, _ = self.draw_kernel()
+        return transform(u * (scale / _STATE_TO_UNIFORM)) / divisor
 
     def draw_kernel(self) -> tuple[Callable[[float], float], float, float, int]:
         """``(transform, scale, divisor, n)``: one draw is the in-order sum
@@ -75,7 +78,8 @@ class Distribution:
         ``x * 2**-32``.  ``scale`` is ``2**-32`` or ``-2**-32``, so
         ``x * scale`` is exactly the uniform or its negative, and
         ``transform`` skips the argument check.  The default is the inverse
-        transform, divided exactly by 1.0."""
+        transform, divided exactly by 1.0; a family's transform is a builtin
+        or a closure over its constants, so take one kernel for many draws."""
         return self._inverse, _STATE_TO_UNIFORM, 1.0, 1
 
     def moments(self) -> MomentSet:
@@ -113,11 +117,8 @@ class Exponential(Distribution):
             return 0.0
         return -math.expm1(-self.rate * x)
 
-    def _inverse(self, u: float) -> float:
-        return -math.log1p(-u) / self.rate
-
     def draw_kernel(self):
-        # exact sign flips: log1p(x * -2^-32) / -rate == _inverse(x * 2^-32)
+        # -log1p(-u) / rate with exact sign flips: log1p(x * -2^-32) / -rate
         return math.log1p, -_STATE_TO_UNIFORM, -self.rate, 1
 
     def moments(self) -> MomentSet:
@@ -158,36 +159,42 @@ class Mix2Exp(Distribution):
             return 0.0
         return 1.0 - (self.p * math.exp(-self.rate1 * x) + self.q * math.exp(-self.rate2 * x))
 
-    def _inverse(self, u: float) -> float:
-        p, q = self.p, self.q
+    def draw_kernel(self):
+        # the branch and the constants are bound once per kernel, not per draw
+        p, q, nr1, nr2 = self.p, self.q, -self.rate1, -self.rate2
         if q == 0.0:
-            return -math.log1p(-u) / self.rate1
+            return Exponential(self.rate1).draw_kernel()
+        log, log1p, sqrt, exp = math.log, math.log1p, math.sqrt, math.exp
         if self.rate2 == 2.0 * self.rate1:
             # p*w + q*w^2 = 1 - u with w = exp(-rate1 * x); conjugate root
             # form stays stable as q -> 0
-            w = 2.0 * (1.0 - u) / (p + math.sqrt(p * p + 4.0 * q * (1.0 - u)))
-            return -math.log(w) / self.rate1
-        # general rates: bisection on the cdf (inlined: same expression as
-        # cdf()); the rate1 exponential stochastically dominates the
-        # mixture, so its quantile brackets ours.  An iteration that leaves
-        # (lo, hi) unchanged has reached a fixed point of the update, so
-        # stopping there returns exactly what all _BISECT_STEPS would.
-        exp = math.exp
-        rate1, rate2 = self.rate1, self.rate2
-        lo = 0.0
-        hi = -math.log1p(-u) / rate1
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            cdf = 0.0 if mid <= 0.0 else 1.0 - (p * exp(-rate1 * mid) + q * exp(-rate2 * mid))
-            if cdf < u:
-                if lo == mid:
-                    break
-                lo = mid
-            else:
-                if hi == mid:
-                    break
-                hi = mid
-        return 0.5 * (lo + hi)
+            pp, q4 = p * p, 4.0 * q
+
+            def closed_form(u):
+                return log(2.0 * (1.0 - u) / (p + sqrt(pp + q4 * (1.0 - u))))
+
+            return closed_form, _STATE_TO_UNIFORM, nr1, 1
+
+        # general rates: bisection on the inlined cdf, bracketed by the rate1
+        # exponential's quantile (it dominates the mixture).  An unchanged
+        # (lo, hi) is a fixed point, so stopping there returns what all
+        # _BISECT_STEPS would.
+        def bisection(u):
+            lo, hi = 0.0, log1p(-u) / nr1
+            for _ in range(_BISECT_STEPS):
+                mid = 0.5 * (lo + hi)
+                cdf = 0.0 if mid <= 0.0 else 1.0 - (p * exp(nr1 * mid) + q * exp(nr2 * mid))
+                if cdf < u:
+                    if lo == mid:
+                        break
+                    lo = mid
+                else:
+                    if hi == mid:
+                        break
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        return bisection, _STATE_TO_UNIFORM, 1.0, 1
 
     def moments(self) -> MomentSet:
         p, q = self.p, self.q
@@ -238,7 +245,7 @@ class Erlang(Distribution):
 
     def _inverse(self, u: float) -> float:
         if self.shape == 1:
-            return -math.log1p(-u) / self.rate
+            return super()._inverse(u)  # the Exponential(rate) quantile
         lo, hi = 0.0, self.shape / self.rate
         while self.cdf(hi) < u:
             hi *= 2.0
@@ -286,9 +293,11 @@ class Pareto(Distribution):
             return 0.0
         return -math.expm1(-self.shape * math.log1p(x * self.scale))
 
-    def _inverse(self, u: float) -> float:
-        # ((1-u)^(-1/a) - 1)/b, written to survive u -> 1 without cancellation
-        return math.expm1(-math.log1p(-u) / self.shape) / self.scale
+    def draw_kernel(self):
+        # ((1-u)^(-1/a) - 1)/b, written to survive u -> 1 without cancellation;
+        # the transform takes -u and divides by -a: exact sign flips
+        expm1, log1p, neg_shape = math.expm1, math.log1p, -self.shape
+        return (lambda m: expm1(log1p(m) / neg_shape)), -_STATE_TO_UNIFORM, self.scale, 1
 
     def moments(self) -> MomentSet:
         a, b = self.shape, self.scale

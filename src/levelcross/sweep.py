@@ -163,11 +163,12 @@ def evaluate_sweep(
     keywords are the ``levelcross sweep`` options of the same names.
 
     Simulation nodes run in forked worker processes, one per available
-    CPU (see :func:`_worker_count`), while this process evaluates the
-    other methods.  The result, and the first exception raised, are those
-    of evaluating the nodes one by one in this process: each node's
-    estimate depends only on (seed, node index), and any node a worker
-    leaves out is evaluated here.
+    CPU (see :func:`_worker_count`), largest index first, while this
+    process evaluates the other methods.  The result, and the first
+    exception raised, are those of evaluating the nodes one by one in this
+    process, except that ``trials < 1`` with ``sim`` raises before any
+    node's analytic error: a node's estimate depends only on (seed, node
+    index), and any node a worker leaves out is evaluated here.
     """
     for m in methods:
         if m not in _METHODS:
@@ -176,6 +177,8 @@ def evaluate_sweep(
         raise LevelCrossError("no methods requested")
     if var not in ("c", "t"):
         raise LevelCrossError("sweep variable must be 'c' or 't'")
+    if "sim" in methods and trials < 1:
+        raise ValueError("n_trials must be >= 1")
 
     model = exp_pair_model(t_dist, y_dist) if "exact" in methods else None
     constants = constants_for(t_dist, y_dist) if {"main", "corrected"} & set(methods) else None
@@ -265,31 +268,51 @@ def _start_workers(
     workers: list[tuple[int, int]], count: int, nodes: int, simulate: Callable[[int], SimEstimate]
 ) -> None:
     """Fork ``count`` workers, appending (pid, read end of its pipe) to
-    ``workers`` as each starts.  Worker k writes the line ``i successes``
-    for each node i = k, k + count, ... (a node's cost grows along the
-    grid, so interleaving balances the load) and stops at the first node
-    that raises."""
-    for k in range(count):
-        r, w = os.pipe()
+    ``workers`` as each starts, then queue the node indices for them in
+    one shared pipe, largest first: a node's cost grows along the grid, so
+    the costly nodes start first and the cheap ones fill in behind them.
+    A worker claims indices until the queue is empty or a node raises,
+    then writes the line ``i successes`` for each node it simulated."""
+    queue_r, queue_w = os.pipe()
+    try:
         try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:
-            # os._exit: the worker never returns into the caller's frames
-            # and never flushes the stdio buffers it inherited
-            status = 1
-            try:
-                os.close(r)
-                for i in range(k, nodes, count):
-                    os.write(w, b"%d %d\n" % (i, simulate(i).successes))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-        workers.append((pid, r))
+            for _ in range(count):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    # os._exit: the worker never returns into the caller's
+                    # frames and never flushes the stdio buffers it inherited
+                    status, lines = 1, bytearray()
+                    try:
+                        os.close(r)
+                        os.close(queue_w)  # the queue ends when the parent closes it
+                        while record := os.read(queue_r, 4):
+                            i = int.from_bytes(record, "big")
+                            lines += b"%d %d\n" % (i, simulate(i).successes)
+                        status = 0
+                    finally:
+                        # sent after leaving the queue: sent one by one, lines could
+                        # fill this pipe while the parent waits on a full queue
+                        try:
+                            os.close(queue_r)
+                            os.write(w, lines)
+                        finally:
+                            os._exit(status)
+                os.close(w)
+                workers.append((pid, r))
+        finally:
+            os.close(queue_r)  # with every worker gone, a write below raises
+        # writes of at most PIPE_BUF (>= 512) bytes are atomic: no read splits a record
+        queue = memoryview(b"".join(i.to_bytes(4, "big") for i in reversed(range(nodes))))
+        while queue:
+            queue = queue[os.write(queue_w, queue[:512]) :]
+    finally:
+        os.close(queue_w)
 
 
 def _collect(workers: list[tuple[int, int]], kill: bool) -> dict[int, int]:
@@ -306,8 +329,7 @@ def _collect(workers: list[tuple[int, int]], kill: bool) -> dict[int, int]:
         else:
             for _, fd in workers:
                 with open(fd, "rb", closefd=False) as pipe:
-                    # a line is written whole or not at all; a worker that
-                    # died leaves out the rest of its nodes
+                    # a dead worker leaves out nodes; a part line lacks "\n"
                     for line in pipe.read().split(b"\n")[:-1]:
                         i, successes = map(int, line.split())
                         counts[i] = successes

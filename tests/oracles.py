@@ -4,8 +4,9 @@
 closed-form integrals of :mod:`levelcross.approx` directly, by adaptive
 Simpson.  ``model_constants_lemma`` evaluates independent pair-specific
 closed forms of the model constants, to cross-check
-:func:`levelcross.moments.model_constants_generic`.  Neither is part of
-the package: only the tests call them.
+:func:`levelcross.moments.model_constants_generic`.  ``reference_inverse``
+is the per-draw quantile code the draw kernels replaced, to pin their
+bits.  None is part of the package: only the tests call them.
 """
 
 import math
@@ -15,6 +16,66 @@ from levelcross.distributions import Distribution, Erlang, Exponential, Mix2Exp,
 from levelcross.errors import LevelCrossError, MomentUndefinedError, QuadratureError
 from levelcross.moments import ModelConstants
 from levelcross.quadrature import adaptive_simpson
+
+
+# the quantiles as the Exponential, Mix2Exp and Pareto methods computed them
+# before each law's draw_kernel() bound its constants in a closure; the
+# bodies are kept as they were, `self` included
+_BISECT_STEPS = 90
+
+
+def _exponential_inverse(self, u: float) -> float:
+    return -math.log1p(-u) / self.rate
+
+
+def _mix2exp_inverse(self, u: float) -> float:
+    p, q = self.p, self.q
+    if q == 0.0:
+        return -math.log1p(-u) / self.rate1
+    if self.rate2 == 2.0 * self.rate1:
+        # p*w + q*w^2 = 1 - u with w = exp(-rate1 * x); conjugate root
+        # form stays stable as q -> 0
+        w = 2.0 * (1.0 - u) / (p + math.sqrt(p * p + 4.0 * q * (1.0 - u)))
+        return -math.log(w) / self.rate1
+    # general rates: bisection on the cdf (inlined: same expression as
+    # cdf()); the rate1 exponential stochastically dominates the
+    # mixture, so its quantile brackets ours.  An iteration that leaves
+    # (lo, hi) unchanged has reached a fixed point of the update, so
+    # stopping there returns exactly what all _BISECT_STEPS would.
+    exp = math.exp
+    rate1, rate2 = self.rate1, self.rate2
+    lo = 0.0
+    hi = -math.log1p(-u) / rate1
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        cdf = 0.0 if mid <= 0.0 else 1.0 - (p * exp(-rate1 * mid) + q * exp(-rate2 * mid))
+        if cdf < u:
+            if lo == mid:
+                break
+            lo = mid
+        else:
+            if hi == mid:
+                break
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _pareto_inverse(self, u: float) -> float:
+    # ((1-u)^(-1/a) - 1)/b, written to survive u -> 1 without cancellation
+    return math.expm1(-math.log1p(-u) / self.shape) / self.scale
+
+
+def reference_inverse(dist: Distribution, u: float) -> float:
+    """What one uniform ``u`` of ``dist``'s draw kernel must give, bit for
+    bit: the quantile for Exponential, Mix2Exp and Pareto, and one
+    Exponential(rate) summand of an Erlang draw."""
+    if isinstance(dist, (Exponential, Erlang)):
+        return _exponential_inverse(dist, u)
+    if isinstance(dist, Mix2Exp):
+        return _mix2exp_inverse(dist, u)
+    if isinstance(dist, Pareto):
+        return _pareto_inverse(dist, u)
+    raise TypeError(f"no reference inverse for {type(dist).__name__}")
 
 
 class UnsupportedPairError(LevelCrossError, ValueError):

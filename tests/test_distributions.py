@@ -8,12 +8,13 @@ same quadrature runs below as the independent cross-check.
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levelcross.distributions import (
     ERLANG_MAX_SHAPE,
+    Distribution,
     Erlang,
     Exponential,
     Mix2Exp,
@@ -22,6 +23,8 @@ from levelcross.distributions import (
 )
 from levelcross.errors import MomentUndefinedError, SpecParseError
 from levelcross.sim import LcgStream
+from oracles import reference_inverse
+from strategies import LAWS
 
 # mpmath dps=40 oracles
 MIX_CDF_AT_1 = 0.7096352781401675549716509882348646205669  # Mix2Exp(1,2,2/3)
@@ -165,6 +168,18 @@ class TestQuantile:
         assert abs(d.cdf(d.quantile(u)) - u) <= 1e-10
 
 
+def _assert_kernel_is_reference(law, x):
+    """One uniform of the kernel at generator state x gives, bit for bit,
+    what the per-draw code it replaced gave; so do the quantile and
+    sample() of a one-uniform law."""
+    transform, scale, divisor, n = law.draw_kernel()
+    want = reference_inverse(law, x * 2**-32)
+    assert transform(x * scale) / divisor == want
+    if n == 1:
+        assert law.quantile(x * 2**-32) == want
+        assert law.sample(FixedStream([x * 2**-32])) == want
+
+
 def _bisect_90(d, u):
     """Mix2Exp quantile by 90 bisection steps on cdf(), never stopping early."""
     lo, hi = 0.0, -math.log1p(-u) / d.rate1
@@ -275,12 +290,69 @@ class TestSampling:
         assert s1.state == s2.state == s3.state
 
     def test_kernel_fields(self):
-        # the exponential family hands the simulator math.log1p itself; the
-        # other laws their unchecked quantile on the uniform, divided by 1
+        # the exponential family (and Mix2Exp with q == 0) hands the
+        # simulator math.log1p itself; Pareto and the other Mix2Exp laws a
+        # closure over their constants; a law that defines only _inverse its
+        # unchecked quantile on the uniform, divided by 1
         assert Exponential(0.7).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 1)
         assert Erlang(0.7, 3).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 3)
-        pareto = Pareto(4.0, 0.35)
-        assert pareto.draw_kernel() == (pareto._inverse, 2.0**-32, 1.0, 1)
+        assert Mix2Exp(0.7, 2.0, 1.0).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 1)
+        for law, fields in [
+            (Pareto(4.0, 0.35), (-(2.0**-32), 0.35, 1)),
+            (Mix2Exp(0.7, 1.4, 0.4), (2.0**-32, -0.7, 1)),  # rate2 == 2 rate1
+            (Mix2Exp(0.7, 2.0, 0.4), (2.0**-32, 1.0, 1)),  # bisection
+        ]:
+            transform, *rest = law.draw_kernel()
+            assert callable(transform) and tuple(rest) == fields
+
+        class Halved(Distribution):
+            def _inverse(self, u):
+                return 0.5 * u
+
+        law = Halved()
+        assert law.draw_kernel() == (law._inverse, 2.0**-32, 1.0, 1)
+        assert law.sample(FixedStream([0.25])) == 0.125
+
+    # one law per kernel branch: Mix2Exp with p = 0, with q == 0, with
+    # rate2 == 2 rate1, and with general rates up to rate2/rate1 = 1000
+    @pytest.mark.parametrize("law", [
+        Exponential(0.7), Erlang(1.3, 3), Pareto(4.0, 0.35), Pareto(0.5, 7.0),
+        Mix2Exp(1.0, 2.0, 0.0), Mix2Exp(1.0, 3.0, 1.0), Mix2Exp(1.0, 2.0, 2.0 / 3.0),
+        Mix2Exp(0.8, 3.1, 0.0), Mix2Exp(0.8, 3.1, 0.4), Mix2Exp(1.0, 1000.0, 0.001),
+    ], ids=repr)
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.integers(1, 2**32 - 1))
+    @example(x=1)
+    @example(x=2**31)
+    @example(x=2**32 - 1)
+    def test_kernel_bits_match_reference(self, law, x):
+        _assert_kernel_is_reference(law, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        law=st.one_of(
+            LAWS,
+            st.builds(
+                lambda r, k, p: Mix2Exp(r, k * r, p),
+                st.floats(0.01, 50.0), st.floats(1.001, 1000.0) | st.just(2.0),
+                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+            ),
+            st.builds(Pareto, st.floats(0.1, 20.0), st.floats(0.01, 10.0)),
+        ),
+        x=st.integers(1, 2**32 - 1),
+    )
+    def test_kernel_bits_match_reference_any_law(self, law, x):
+        _assert_kernel_is_reference(law, x)
+
+    @pytest.mark.parametrize("law", [
+        Exponential(0.7), Erlang(0.7, 2), Mix2Exp(1.0, 3.0, 0.4), Pareto(4.0, 0.35),
+    ], ids=repr)
+    def test_inverse_override_changes_quantile_not_draws(self, law):
+        changed = type("Changed", (type(law),), {"_inverse": lambda self, u: 42.0})
+        law2 = changed(*law.__dict__.values())
+        assert law2.quantile(0.5) == 42.0 != law.quantile(0.5)
+        s1, s2 = LcgStream(7), LcgStream(7)
+        assert [law2.sample(s1) for _ in range(5)] == [law.sample(s2) for _ in range(5)]
 
     def test_sample_moments_close(self):
         n = 100_000

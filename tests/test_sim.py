@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import threading
 import time
 import warnings
@@ -18,6 +19,7 @@ from levelcross.distributions import Distribution, Erlang, Exponential, Mix2Exp,
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.sim import (
     LcgStream,
+    SimEstimate,
     _first_crossing_by_sample,
     _fuses,
     first_crossing_time,
@@ -414,7 +416,7 @@ class TestForkedNodes:
 
         def dying(t_dist, y_dist, u, c, *args):
             if c == 1.0 and os.getpid() != parent:
-                os._exit(3)  # worker 0 has written node 0 and dies at node 2
+                os._exit(3)  # the worker that claims node 2 dies; the other goes on
             return real(t_dist, y_dist, u, c, *args)
 
         monkeypatch.setattr(sweep_module, "simulate_conditional", dying)
@@ -476,6 +478,89 @@ class TestForkedNodes:
             counts.append(len(calls))
         assert forked == [2]  # the plain law's sweep forked, the counted law's did not
         assert counts[0] == counts[1] > 0
+
+    def test_workers_take_largest_node_first(self, set_cpus, monkeypatch, tmp_path):
+        # each worker claims nodes in descending order, and while one works
+        # on the slow largest node, the other takes every other node
+        grid = SweepGrid(0.1, 2.0, 0.1)
+        last = len(grid.nodes()) - 1
+        node_of = {substream_seed(42, i): i for i in range(last + 1)}
+        log = tmp_path / "claims"
+
+        def logged(t_dist, y_dist, u, c, v, t, trials, seed):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, b"%d %d\n" % (os.getpid(), node_of[seed]))
+            finally:
+                os.close(fd)
+            if node_of[seed] == last:
+                time.sleep(2.0)
+            return SimEstimate.from_counts(0, trials, seed)
+
+        monkeypatch.setattr(sweep_module, "simulate_conditional", logged)
+        forked = set_cpus(2)
+        evaluate_sweep(Exponential(1.0), Exponential(1.0), grid, ("sim",),
+                       u=10.0, horizon=50.0, trials=10, seed=42)
+        assert forked == [2]
+        claims = {}
+        for line in log.read_text().splitlines():
+            pid, i = map(int, line.split())
+            claims.setdefault(pid, []).append(i)
+        assert os.getpid() not in claims
+        assert sorted(claims.values()) == [list(range(last - 1, -1, -1)), [last]]
+
+    def test_queue_larger_than_a_pipe(self, set_cpus, monkeypatch):
+        # 100,000 nodes: the queue (400 kB) and each worker's results
+        # outgrow a 64 KiB pipe.  Every node is reported by a worker, and
+        # every write to the queue is atomic: at most PIPE_BUF = 512 bytes,
+        # whole 4-byte records.
+        grid = SweepGrid(1.0, 100_000.0, 1.0)
+        parent, here, writes = os.getpid(), [], []
+        real_write = os.write
+
+        def trivial(t_dist, y_dist, u, c, v, t, trials, seed):
+            if os.getpid() == parent:
+                here.append(c)
+            return SimEstimate.from_counts(1, trials, seed)
+
+        def spy(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data)
+
+        def timeout(signum, frame):
+            raise TimeoutError("sweep did not finish")
+
+        monkeypatch.setattr(sweep_module, "simulate_conditional", trivial)
+        monkeypatch.setattr(os, "write", spy)
+        forked = set_cpus(2)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            result = evaluate_sweep(Exponential(1.0), Exponential(1.0), grid, ("sim",),
+                                    u=10.0, horizon=50.0, trials=10)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert forked == [2]
+        assert here == []
+        assert len(result.rows) == 100_000
+        assert all(values["sim"].successes == 1 for _, values in result.rows)
+        assert sum(writes) == 400_000
+        assert max(writes) <= 512 and all(n % 4 == 0 for n in writes)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_zero_trials_fail_before_any_node(self, set_cpus, monkeypatch, cpus):
+        def never(*args):
+            pytest.fail("a node was evaluated or a worker forked")
+
+        monkeypatch.setattr(os, "fork", never)
+        monkeypatch.setattr(sweep_module, "main_term", never)
+        monkeypatch.setattr(sweep_module, "simulate_conditional", never)
+        forked = set_cpus(cpus)
+        with pytest.raises(ValueError, match="n_trials must be >= 1"):
+            evaluate_sweep(Exponential(1.0), Exponential(1.0), self.GRID, ("main", "sim"),
+                           u=10.0, horizon=50.0, trials=0)
+        assert forked == []
 
 
 class TestSweepGrid:
