@@ -3,11 +3,9 @@
 ``@record`` turns a class whose body declares annotated fields, with or
 without defaults, into a value type, as ``@dataclass(frozen=True)`` did:
 
-* ``__init__`` takes the fields in order, positionally or by keyword,
-  then calls the class's ``__post_init__``, if it has one, to validate
-  them;
-* ``==`` compares the class and the fields, and ``hash`` hashes the
-  fields;
+* ``__init__`` takes the fields positionally or by keyword, then calls
+  ``__post_init__``, if the class has one, to validate them;
+* ``==`` compares the class and the fields; ``hash`` hashes the fields;
 * ``repr`` reads ``Name(field=value, ...)``;
 * assigning or deleting an attribute raises ``AttributeError``.
 
@@ -16,24 +14,13 @@ directly, without ``__setattr__`` or ``__init__``.  A default of
 ``fresh(factory)`` calls ``factory()`` for each new record, so records
 never share a mutable default.
 
-``dataclasses`` imports about a dozen modules (inspect, ast, dis,
-tokenize, ...) and compiles six methods per frozen class; ``record``
-compiles three, written as ``dataclasses`` writes them, so they run as
-fast.
+The instance dict holds exactly the fields, in declaration order, and
+``==``, ``hash`` and ``repr``, shared by every record, read it.
+``__init__`` is one closure per class, which skips the generic binder
+when every field is given positionally.  Nothing is compiled at import.
 """
 
-_METHODS = """
-def __init__(self, {params}):
-    {body}
-
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({fields}) == ({other_fields})
-    return NotImplemented
-
-def __hash__(self):
-    return hash(({fields}))
-"""
+_set = object.__setattr__
 
 
 class fresh:
@@ -41,6 +28,35 @@ class fresh:
 
     def __init__(self, factory):
         self.factory = factory
+
+
+def _bind(cls, names, defaults, args, kwargs):
+    """The field values of ``cls(*args, **kwargs)``, in declaration order."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__} takes {len(names)} arguments but {len(args)} were given")
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            default = defaults[name]
+            values.append(default.factory() if isinstance(default, fresh) else default)
+        else:
+            raise TypeError(f"{cls.__name__} missing argument {name!r}")
+    for name in kwargs:
+        problem = "got multiple values for" if name in names else "got an unexpected"
+        raise TypeError(f"{cls.__name__} {problem} argument {name!r}")
+    return values
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self.__dict__ == other.__dict__
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(tuple(self.__dict__.values()))
 
 
 def _repr(self):
@@ -55,32 +71,21 @@ def _frozen(self, name, value=None):
 def record(cls):
     """Give ``cls`` the record methods, in place; returns ``cls``."""
     names = tuple(cls.__annotations__)
-    env = {"_set": object.__setattr__}
-    params, body = [], []
-    for name in names:
-        if name in cls.__dict__:
-            default = env[f"_d_{name}"] = cls.__dict__[name]
-            params.append(f"{name}=_d_{name}")
-            if isinstance(default, fresh):
-                env[f"_new_{name}"] = default.factory
-                body.append(f"if {name} is _d_{name}: {name} = _new_{name}()")
-        else:
-            params.append(name)
-        body.append(f"_set(self, {name!r}, {name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    exec(
-        _METHODS.format(
-            params=", ".join(params),
-            body="\n    ".join(body),
-            fields="".join(f"self.{name}, " for name in names),
-            other_fields="".join(f"other.{name}, " for name in names),
-        ),
-        env,
-    )
-    for method in ("__init__", "__eq__", "__hash__"):
-        env[method].__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, env[method])
-    cls.__repr__ = _repr
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    size = len(names)
+    validate = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != size:
+            args = _bind(type(self), names, defaults, args, kwargs)
+        # a new dict, not self.__dict__.update: CPython 3.11 does not specialize
+        # attribute reads on the key-sharing dict that self.__dict__ returns
+        _set(self, "__dict__", dict(zip(names, args)))
+        if validate:
+            self.__post_init__()
+
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = __init__
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

@@ -169,9 +169,4 @@ def corrected_expansion(q: CrossingQuery, k: ModelConstants) -> ApproxResult:
     m = _checked(main, q.c, -_RANGE_SLACK, 1.0 + _RANGE_SLACK)
     cf = _checked(first, q.c)
     cs = _checked(second, q.c)
-    return ApproxResult(
-        main=m,
-        correction_f=cf,
-        correction_s=cs,
-        corrected=m + k.kf(q.c) * cf + k.ks(q.c) * cs,
-    )
+    return ApproxResult(m, cf, cs, m + k.kf_coeff / q.c * cf + k.ks_coeff / q.c * cs)

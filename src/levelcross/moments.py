@@ -51,7 +51,7 @@ def model_constants_generic(t: MomentSet, y: MomentSet) -> ModelConstants:
         - et**3 * y3 / (6.0 * d2**2 * ey**4)
         + et * dy / (2.0 * d2 * ey**2)
     )
-    return ModelConstants(M=m, D2=d2, c_star=1.0 / m, kf_coeff=kf, ks_coeff=ks)
+    return ModelConstants(m, d2, 1.0 / m, kf, ks)
 
 
 def constants_for(t_dist: Distribution, y_dist: Distribution) -> ModelConstants:

@@ -127,7 +127,7 @@ def exp_pair_model(t_dist: Distribution, y_dist: Distribution) -> ExpExpModel:
     """The exact formula's model; only the exponential pair has one."""
     if not (isinstance(t_dist, Exponential) and isinstance(y_dist, Exponential)):
         raise LevelCrossError("exact requires exponential pair")
-    return ExpExpModel(lam=t_dist.rate, mu=y_dist.rate)
+    return ExpExpModel(t_dist.rate, y_dist.rate)
 
 
 def sim_horizon(horizon: float, inf_cap: float | None) -> float:
@@ -195,7 +195,7 @@ def evaluate_sweep(
 
     def query_at(x: float) -> CrossingQuery:
         node_c, node_t = (x, horizon) if var == "c" else (c, x)
-        return CrossingQuery(u=u, c=node_c, v=v, t=node_t)
+        return CrossingQuery(u, node_c, v, node_t)
 
     def compute(i: int, query: CrossingQuery, m: str) -> float | SimEstimate:
         if m == "main":

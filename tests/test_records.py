@@ -193,3 +193,54 @@ def test_validation(case):
     cls, _, _, _, bad = case
     with pytest.raises(ValueError):
         cls(*bad)
+
+
+@pytest.mark.parametrize("case", CASES, ids=ids)
+def test_methods_are_shared_not_generated(case):
+    import levelcross._record as source
+
+    cls = case[0]
+    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+        code = getattr(cls, method).__code__
+        assert code.co_filename == source.__file__, (cls, method)
+    assert cls.__eq__ is source._eq and cls.__hash__ is source._hash
+
+
+def test_keyword_order_is_declaration_order():
+    query = CrossingQuery(t=5.0, c=1.0, u=10.0)
+    assert list(vars(query)) == ["u", "c", "v", "t"]
+    assert repr(query) == "CrossingQuery(u=10.0, c=1.0, v=0.0, t=5.0)"
+    assert query == CrossingQuery(10.0, 1.0, 0.0, 5.0)
+    assert hash(query) == hash(CrossingQuery(10.0, 1.0, 0.0, 5.0))
+
+
+def test_subclass_validates_by_its_override():
+    class ShortHorizon(CrossingQuery):
+        def __post_init__(self):
+            super().__post_init__()
+            if self.t > 100.0:
+                raise ValueError("horizon beyond 100")
+
+    assert ShortHorizon(10.0, 1.0, 0.0, 50.0).t == 50.0
+    assert ShortHorizon(u=10.0, c=1.0, t=50.0) == ShortHorizon(10.0, 1.0, 0.0, 50.0)
+    with pytest.raises(ValueError, match="beyond"):
+        ShortHorizon(10.0, 1.0)  # t = inf
+    with pytest.raises(ValueError, match="0 <= v < t"):
+        ShortHorizon(10.0, 1.0, 60.0, 50.0)  # the base check still runs
+    assert ShortHorizon(10.0, 1.0, 0.0, 50.0) != CrossingQuery(10.0, 1.0, 0.0, 50.0)
+
+
+@pytest.mark.parametrize("case", CASES, ids=ids)
+def test_instance_dict_holds_exactly_the_fields(case):
+    cls, args, _, _, _ = case
+    names = FIELDS[cls]
+    obj = cls(*args)
+    for twin in (
+        obj,
+        cls(**dict(zip(names, args))),
+        pickle.loads(pickle.dumps(obj)),
+        pickle.loads(pickle.dumps(obj, protocol=0)),
+        copy.copy(obj),
+        copy.deepcopy(obj),
+    ):
+        assert list(vars(twin)) == list(names)
