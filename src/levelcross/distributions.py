@@ -9,10 +9,10 @@ sampling from a caller-supplied uniform stream.
 A stream is any object with a ``next_uniform() -> float in (0, 1)``
 method; :class:`levelcross.sim.LcgStream` is the deterministic one used
 throughout.  ``draw_kernel()`` is the one definition of a draw, which
-``sample()`` applies to a stream's uniforms and the simulator to raw
-generator states; each family's kernel binds the law's constants once, not
-per draw.  A new law defines ``_inverse`` or ``draw_kernel()``; by default
-each is derived from the other.
+``sample()`` and the simulator both apply to negated uniforms; each
+family's kernel binds the law's constants once, not per draw.  A new law
+defines ``_inverse`` or ``draw_kernel()``; by default each is derived from
+the other.
 """
 
 import math
@@ -37,8 +37,6 @@ _BISECT_STEPS = 90
 
 # one Erlang draw sums `shape` transforms: the cap bounds its work
 ERLANG_MAX_SHAPE = 1000
-
-_STATE_TO_UNIFORM = 2.0**-32  # levelcross.sim's generator state x is the uniform x * 2^-32
 
 
 @record
@@ -67,20 +65,18 @@ class Distribution:
 
     def _inverse(self, u: float) -> float:
         """The quantile without its argument check; by default the kernel
-        applied to ``u``, which fits a kernel that inverts one uniform."""
-        transform, scale, divisor, _ = self.draw_kernel()
-        return transform(u * (scale / _STATE_TO_UNIFORM)) / divisor
+        applied to ``-u``, which fits a kernel that inverts one uniform."""
+        transform, divisor, _ = self.draw_kernel()
+        return transform(-u) / divisor
 
-    def draw_kernel(self) -> tuple[Callable[[float], float], float, float, int]:
-        """``(transform, scale, divisor, n)``: one draw is the in-order sum
-        of ``transform(x * scale) / divisor`` over ``n`` fresh generator
-        states ``x``, integers in [1, 2^32) that stand for the uniforms
-        ``x * 2**-32``.  ``scale`` is ``2**-32`` or ``-2**-32``, so
-        ``x * scale`` is exactly the uniform or its negative, and
+    def draw_kernel(self) -> tuple[Callable[[float], float], float, int]:
+        """``(transform, divisor, n)``: one draw is the in-order sum of
+        ``transform(-u) / divisor`` over ``n`` fresh uniforms ``u``, and
         ``transform`` skips the argument check.  The default is the inverse
-        transform, divided exactly by 1.0; a family's transform is a builtin
-        or a closure over its constants, so take one kernel for many draws."""
-        return self._inverse, _STATE_TO_UNIFORM, 1.0, 1
+        transform of ``u``, divided exactly by 1.0; a family's transform is
+        a builtin or a closure over its constants, so take one kernel for
+        many draws."""
+        return (lambda m: self._inverse(-m)), 1.0, 1
 
     def moments(self) -> MomentSet:
         raise NotImplementedError
@@ -91,11 +87,10 @@ class Distribution:
     def sample(self, stream) -> float:
         """One draw of ``draw_kernel()``, taking its ``n`` uniforms from
         ``stream.next_uniform()``."""
-        transform, scale, divisor, n = self.draw_kernel()
-        sign = scale / _STATE_TO_UNIFORM
-        total = transform(stream.next_uniform() * sign) / divisor
+        transform, divisor, n = self.draw_kernel()
+        total = transform(-stream.next_uniform()) / divisor
         for _ in range(n - 1):
-            total += transform(stream.next_uniform() * sign) / divisor
+            total += transform(-stream.next_uniform()) / divisor
         return total
 
 
@@ -118,8 +113,8 @@ class Exponential(Distribution):
         return -math.expm1(-self.rate * x)
 
     def draw_kernel(self):
-        # -log1p(-u) / rate with exact sign flips: log1p(x * -2^-32) / -rate
-        return math.log1p, -_STATE_TO_UNIFORM, -self.rate, 1
+        # -log1p(-u) / rate with exact sign flips: log1p(-u) / -rate
+        return math.log1p, -self.rate, 1
 
     def moments(self) -> MomentSet:
         r = self.rate
@@ -163,24 +158,25 @@ class Mix2Exp(Distribution):
         # the branch and the constants are bound once per kernel, not per draw
         p, q, nr1, nr2 = self.p, self.q, -self.rate1, -self.rate2
         if q == 0.0:
-            return Exponential(self.rate1).draw_kernel()
+            return math.log1p, nr1, 1
         log, log1p, sqrt, exp = math.log, math.log1p, math.sqrt, math.exp
         if self.rate2 == 2.0 * self.rate1:
             # p*w + q*w^2 = 1 - u with w = exp(-rate1 * x); conjugate root
-            # form stays stable as q -> 0
+            # form stays stable as q -> 0.  1.0 + m is exactly 1.0 - u.
             pp, q4 = p * p, 4.0 * q
 
-            def closed_form(u):
-                return log(2.0 * (1.0 - u) / (p + sqrt(pp + q4 * (1.0 - u))))
+            def closed_form(m):
+                return log(2.0 * (1.0 + m) / (p + sqrt(pp + q4 * (1.0 + m))))
 
-            return closed_form, _STATE_TO_UNIFORM, nr1, 1
+            return closed_form, nr1, 1
 
         # general rates: bisection on the inlined cdf, bracketed by the rate1
         # exponential's quantile (it dominates the mixture).  An unchanged
         # (lo, hi) is a fixed point, so stopping there returns what all
         # _BISECT_STEPS would.
-        def bisection(u):
-            lo, hi = 0.0, log1p(-u) / nr1
+        def bisection(m):
+            u = -m
+            lo, hi = 0.0, log1p(m) / nr1
             for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (lo + hi)
                 cdf = 0.0 if mid <= 0.0 else 1.0 - (p * exp(nr1 * mid) + q * exp(nr2 * mid))
@@ -194,7 +190,7 @@ class Mix2Exp(Distribution):
                     hi = mid
             return 0.5 * (lo + hi)
 
-        return bisection, _STATE_TO_UNIFORM, 1.0, 1
+        return bisection, 1.0, 1
 
     def moments(self) -> MomentSet:
         p, q = self.p, self.q
@@ -263,7 +259,7 @@ class Erlang(Distribution):
 
     def draw_kernel(self):
         # the sum of `shape` Exponential(rate) draws, added one by one
-        return math.log1p, -_STATE_TO_UNIFORM, -self.rate, self.shape
+        return math.log1p, -self.rate, self.shape
 
     def spec_string(self) -> str:
         return f"erlang:{self.rate:g},{self.shape}"
@@ -297,7 +293,7 @@ class Pareto(Distribution):
         # ((1-u)^(-1/a) - 1)/b, written to survive u -> 1 without cancellation;
         # the transform takes -u and divides by -a: exact sign flips
         expm1, log1p, neg_shape = math.expm1, math.log1p, -self.shape
-        return (lambda m: expm1(log1p(m) / neg_shape)), -_STATE_TO_UNIFORM, self.scale, 1
+        return (lambda m: expm1(log1p(m) / neg_shape)), self.scale, 1
 
     def moments(self) -> MomentSet:
         a, b = self.shape, self.scale

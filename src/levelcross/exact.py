@@ -24,8 +24,8 @@ integrated by adaptive Simpson, and serves as an independent cross-check.
 import math
 
 from ._record import record
-from .approx import CrossingQuery
-from .errors import SeriesTruncationError
+from .approx import _RANGE_SLACK, CrossingQuery
+from .errors import QuadratureError, SeriesTruncationError
 from .quadrature import adaptive_simpson, integrate_log_scaled
 from .specfun import log_bessel_i0, log_bessel_i1
 
@@ -46,8 +46,20 @@ class ExpExpModel:
     mu: float
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and self.mu > 0.0):
-            raise ValueError("both rates must be > 0")
+        if not (0.0 < self.lam < math.inf and 0.0 < self.mu < math.inf):
+            raise ValueError("both rates must be finite and > 0")
+
+
+def _probability(log_value: float) -> float:
+    """The probability exp(log_value), 0.0 below the float range.  Raises
+    QuadratureError above 1 + _RANGE_SLACK: farther than rounding reaches,
+    the integral cancelled to round-off."""
+    if log_value > math.log1p(_RANGE_SLACK):
+        raise QuadratureError(
+            f"the exact value exp({log_value:.6g}) exceeds 1: its integrand "
+            "cancelled to round-off"
+        )
+    return math.exp(log_value) if log_value > -745.0 else 0.0
 
 
 def infinite_horizon_cap(q: CrossingQuery) -> float:
@@ -67,7 +79,8 @@ def exact_conditional(m: ExpExpModel, q: CrossingQuery, rel_tol: float = 1e-10) 
 
     ``rel_tol`` is relative to the Bessel integral.  A tolerance the
     quadrature cannot meet within its interval budget raises
-    QuadratureError.
+    QuadratureError, and so does a horizon too long for the integral to
+    resolve (see :func:`integrate_log_scaled` and ``_probability``).
     """
     t = infinite_horizon_cap(q) if q.t == math.inf else q.t
     b = q.v + q.u / q.c
@@ -83,8 +96,9 @@ def exact_conditional(m: ExpExpModel, q: CrossingQuery, rel_tol: float = 1e-10) 
         return log_bessel_i1(z) - rate_sum * y - 0.5 * (math.log(y + b) + math.log(y))
 
     log_pref = half_log_prod + math.log(b) - m.mu * (q.u + q.c * q.v)
-    log_value = log_pref + integrate_log_scaled(log_integrand, 0.0, t - q.v, rel_tol=rel_tol)
-    return math.exp(log_value) if log_value > -745.0 else 0.0
+    return _probability(
+        log_pref + integrate_log_scaled(log_integrand, 0.0, t - q.v, rel_tol=rel_tol)
+    )
 
 
 def _log_sum_exp(values: list[float]) -> float:
@@ -165,13 +179,17 @@ def unconditional_exp_first_renewal(
 
     with w(0) = lam e^{-mu u}, the rate of a crossing at the first jump.
     The value is the single integral of w over [0, t], formed in log space
-    on :func:`integrate_log_scaled`; ``rel_tol`` is relative to it.  At
+    on :func:`integrate_log_scaled`; ``rel_tol`` is relative to it, and a
+    horizon too long to resolve raises QuadratureError as in
+    :func:`exact_conditional`.  At
     t = inf it is the ruin probability (lam/(c mu)) e^{-(mu - lam/c) u}
     above the critical rate lam/mu, and 1 at or below it; at t <= 0 it is
-    0, and a NaN horizon raises ValueError.
+    0.  ``u`` and ``c`` are checked as :class:`CrossingQuery` checks them,
+    and a NaN horizon raises ValueError.
     """
-    if not (u > 0.0 and c > 0.0) or math.isnan(t):
-        raise ValueError("need u > 0, c > 0 and a horizon t that is not NaN")
+    CrossingQuery(u, c)
+    if math.isnan(t):
+        raise ValueError("the horizon t must not be NaN")
     if t == math.inf:
         excess = m.mu - m.lam / c
         return m.lam / (c * m.mu) * math.exp(-excess * u) if excess > 0.0 else 1.0
@@ -189,5 +207,4 @@ def unconditional_exp_first_renewal(
         top = max(a, b)
         return log_lam - m.lam * s - m.mu * level + top + math.log1p(math.exp(-abs(a - b)))
 
-    log_value = integrate_log_scaled(log_density, 0.0, t, rel_tol=rel_tol)
-    return math.exp(log_value) if log_value > -745.0 else 0.0
+    return _probability(integrate_log_scaled(log_density, 0.0, t, rel_tol=rel_tol))

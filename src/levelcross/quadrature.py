@@ -171,13 +171,22 @@ def _qag(f, edges, rel_tol):
 
 def _peak_reach(log_f, x, peak, h, log_at_h):
     """Largest d = h / 2^k (k < _PEAK_HALVINGS) with log_f(x + d) within
-    _PEAK_DROP of ``peak``; ``log_at_h`` is log_f(x + h), and h may be < 0."""
+    _PEAK_DROP of ``peak``; ``log_at_h`` is log_f(x + h), and h may be < 0.
+
+    Raises QuadratureError when the last halving still lands more than
+    _PEAK_DROP below the peak at a finite value: the peak is then narrower
+    than h / 2^_PEAK_HALVINGS, and the Kronrod nodes may all miss it."""
     d, lv = h, log_at_h
     for _ in range(_PEAK_HALVINGS):
         if lv - peak >= -_PEAK_DROP:
-            break
+            return d
         d *= 0.5
         lv = log_f(x + d)
+    if -math.inf < lv < peak - _PEAK_DROP:
+        raise QuadratureError(
+            f"the log-integrand at {x + d:g} is still {peak - lv:.3g} below its "
+            f"scanned peak at {x:g} after {_PEAK_HALVINGS} halvings of {h:g}"
+        )
     return d
 
 
@@ -203,14 +212,17 @@ def integrate_log_scaled(
     The loop runs to relative tolerance ``rel_tol`` and bounds the work:
     ``QuadratureError`` is raised when ``MAX_INTERVALS`` intervals do not
     reach ``rel_tol`` (for example a tolerance below the round-off floor,
-    such as 1e-16), and when the scan misses a peak so narrow and high
-    that the scaled integrand overflows.
+    such as 1e-16), when the scan misses a peak so narrow and high that
+    the scaled integrand overflows, when a scanned log-integrand is NaN,
+    and when the peak is too narrow for the halvings to reach.
     """
     if not (b > a):
         return -math.inf
     h = (b - a) / _SCAN_PANELS
     xs = [a + i * h for i in range(_SCAN_PANELS)] + [b]
     logs = [log_f(x) for x in xs]
+    if any(map(math.isnan, logs)):
+        raise QuadratureError(f"the log-integrand is NaN in the scan of [{a:g}, {b:g}]")
     k = max(range(_SCAN_PANELS + 1), key=logs.__getitem__)
     peak = logs[k]
     if peak == -math.inf:

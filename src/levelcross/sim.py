@@ -55,9 +55,7 @@ def lcg_next(state: int) -> int:
 
 def next_uniform(state: int) -> tuple[float, int]:
     """Advance the state and map it into (0, 1), skipping a zero state."""
-    state = lcg_next(state)
-    if state == 0:
-        state = lcg_next(state)
+    state = lcg_next(state) or LCG_INCREMENT  # lcg_next(0) == LCG_INCREMENT
     return state * _INV_MODULUS, state
 
 
@@ -165,31 +163,32 @@ def first_crossing_time(
     floats, as calling ``y_dist.sample(stream)`` for each jump and
     ``t_dist.sample(stream)`` for each gap; ``stream.state`` and
     ``stream.draws`` advance exactly as they would.  The generator steps
-    inline on a local integer state, and each uniform costs one call of
-    its law's ``draw_kernel()`` transform (for the exponential family the
-    C builtin ``math.log1p``).  Where :func:`_fuses` does not hold, the
-    draws go through ``sample()`` itself.
+    inline on a local integer state x, and each uniform costs one call of
+    its law's ``draw_kernel()`` transform on the negated uniform
+    ``x * -2**-32`` (for the exponential family the C builtin
+    ``math.log1p``).  Where :func:`_fuses` does not hold, the draws go
+    through ``sample()`` itself.
     """
     if not _fuses(t_dist, y_dist, type(stream)):
         return _first_crossing_by_sample(t_dist, y_dist, u, c, v, horizon, stream)
-    t_draw, t_scale, t_div, t_uniforms = t_dist.draw_kernel()
-    y_draw, y_scale, y_div, y_uniforms = y_dist.draw_kernel()
+    t_draw, t_div, t_uniforms = t_dist.draw_kernel()
+    y_draw, y_div, y_uniforms = y_dist.draw_kernel()
     t_more, y_more = range(t_uniforms - 1), range(y_uniforms - 1)
-    a, b, mask = LCG_MULTIPLIER, LCG_INCREMENT, _MASK32
+    a, b, mask, neg = LCG_MULTIPLIER, LCG_INCREMENT, _MASK32, -_INV_MODULUS
     x = stream.state
     s = v
     total = 0.0
     jumps = 0
-    # each `x = ... or b` is next_uniform's step: a zero state is skipped
-    # by stepping again, and lcg_next(0) == b.  The `if` spares a law with
-    # one uniform per variate an empty-range iterator on every draw.
+    # each `x = ... or b` is next_uniform's step, zero-state skip included.
+    # The `if` spares a law with one uniform per variate an empty-range
+    # iterator on every draw.
     while True:
         x = (a * x + b) & mask or b
-        jump = y_draw(x * y_scale) / y_div
+        jump = y_draw(x * neg) / y_div
         if y_more:
             for _ in y_more:
                 x = (a * x + b) & mask or b
-                jump += y_draw(x * y_scale) / y_div
+                jump += y_draw(x * neg) / y_div
         total += jump
         jumps += 1
         if total - c * s > u:
@@ -197,11 +196,11 @@ def first_crossing_time(
             gaps = jumps - 1
             break
         x = (a * x + b) & mask or b
-        gap = t_draw(x * t_scale) / t_div
+        gap = t_draw(x * neg) / t_div
         if t_more:
             for _ in t_more:
                 x = (a * x + b) & mask or b
-                gap += t_draw(x * t_scale) / t_div
+                gap += t_draw(x * neg) / t_div
         s += gap
         if s > horizon:
             tau = None

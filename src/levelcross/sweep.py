@@ -353,7 +353,9 @@ def sweep_c(
     """Simulate every node of the grid with its own substream, in forked
     workers where :func:`evaluate_sweep` runs them there; the estimates do
     not depend on which.  Warns when the critical rate lies outside the
-    grid, since that is where the estimates are most informative."""
+    grid, since that is where the estimates are most informative.  It
+    stays beside :func:`evaluate_sweep` because the benchmark's
+    ``pairs_sim`` workload and its tests call it."""
     try:
         c_star = constants_for(t_dist, y_dist).c_star
     except MomentUndefinedError:

@@ -172,9 +172,9 @@ def _assert_kernel_is_reference(law, x):
     """One uniform of the kernel at generator state x gives, bit for bit,
     what the per-draw code it replaced gave; so do the quantile and
     sample() of a one-uniform law."""
-    transform, scale, divisor, n = law.draw_kernel()
+    transform, divisor, n = law.draw_kernel()
     want = reference_inverse(law, x * 2**-32)
-    assert transform(x * scale) / divisor == want
+    assert transform(x * -(2**-32)) / divisor == want
     if n == 1:
         assert law.quantile(x * 2**-32) == want
         assert law.sample(FixedStream([x * 2**-32])) == want
@@ -273,7 +273,7 @@ class TestSampling:
     @pytest.mark.parametrize("shape", [1, 2, 3, 4, 5])
     def test_erlang_kernel_is_sum_of_exponentials(self, shape):
         erl, expo = Erlang(0.7, shape), Exponential(0.7)
-        transform, scale, divisor, n = erl.draw_kernel()
+        transform, divisor, n = erl.draw_kernel()
         assert n == shape
         s1, s2, s3 = LcgStream(2718), LcgStream(2718), LcgStream(2718)
         for _ in range(30):
@@ -283,7 +283,7 @@ class TestSampling:
             kernel = 0.0
             for _ in range(n):
                 s3.next_uniform()
-                kernel += transform(s3.state * scale) / divisor
+                kernel += transform(s3.state * -(2**-32)) / divisor
             before = s1.draws
             assert erl.sample(s1) == kernel == want
             assert s1.draws - before == shape
@@ -292,15 +292,15 @@ class TestSampling:
     def test_kernel_fields(self):
         # the exponential family (and Mix2Exp with q == 0) hands the
         # simulator math.log1p itself; Pareto and the other Mix2Exp laws a
-        # closure over their constants; a law that defines only _inverse its
-        # unchecked quantile on the uniform, divided by 1
-        assert Exponential(0.7).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 1)
-        assert Erlang(0.7, 3).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 3)
-        assert Mix2Exp(0.7, 2.0, 1.0).draw_kernel() == (math.log1p, -(2.0**-32), -0.7, 1)
+        # closure over their constants; a law that defines only _inverse a
+        # closure that applies its unchecked quantile to u = -m, divided by 1
+        assert Exponential(0.7).draw_kernel() == (math.log1p, -0.7, 1)
+        assert Erlang(0.7, 3).draw_kernel() == (math.log1p, -0.7, 3)
+        assert Mix2Exp(0.7, 2.0, 1.0).draw_kernel() == (math.log1p, -0.7, 1)
         for law, fields in [
-            (Pareto(4.0, 0.35), (-(2.0**-32), 0.35, 1)),
-            (Mix2Exp(0.7, 1.4, 0.4), (2.0**-32, -0.7, 1)),  # rate2 == 2 rate1
-            (Mix2Exp(0.7, 2.0, 0.4), (2.0**-32, 1.0, 1)),  # bisection
+            (Pareto(4.0, 0.35), (0.35, 1)),
+            (Mix2Exp(0.7, 1.4, 0.4), (-0.7, 1)),  # rate2 == 2 rate1
+            (Mix2Exp(0.7, 2.0, 0.4), (1.0, 1)),  # bisection
         ]:
             transform, *rest = law.draw_kernel()
             assert callable(transform) and tuple(rest) == fields
@@ -310,7 +310,8 @@ class TestSampling:
                 return 0.5 * u
 
         law = Halved()
-        assert law.draw_kernel() == (law._inverse, 2.0**-32, 1.0, 1)
+        transform, *rest = law.draw_kernel()
+        assert tuple(rest) == (1.0, 1) and transform(-0.25) == 0.125
         assert law.sample(FixedStream([0.25])) == 0.125
 
     # one law per kernel branch: Mix2Exp with p = 0, with q == 0, with

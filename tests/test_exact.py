@@ -24,6 +24,39 @@ from levelcross.sim import LcgStream, simulate_conditional
 
 UNIT = ExpExpModel(1.0, 1.0)
 
+# from 1e4 to far past the point where the integral's peak hides from the
+# quadrature
+LONG_HORIZONS = [10.0**k for k in range(4, 31)] + [1e300]
+
+
+def _raises_or_is_near(value_at, limit):
+    """At each long horizon t, value_at(t) raises QuadratureError or lies
+    within 1e-8 of its t = inf value ``limit``; not every call raises."""
+    returned = 0
+    for t in LONG_HORIZONS:
+        try:
+            val = value_at(t)
+        except QuadratureError:
+            continue
+        assert abs(val - limit) <= 1e-8, t
+        returned += 1
+    assert returned
+
+
+def _raises_or_rises_to_one(value_at):
+    """At t = 10^(k/2) up to 1e20, value_at(t) raises QuadratureError or is
+    a probability, and the values returned do not fall as t grows."""
+    prev = 0.0
+    for k in range(2, 41):
+        t = 10.0 ** (k / 2)
+        try:
+            val = value_at(t)
+        except QuadratureError:
+            continue
+        assert prev <= val <= 1.0 + 1e-12, t
+        prev = val
+    assert prev > 0.0  # not every call raised
+
 
 class TestExactConditional:
     def test_vanishing_horizon(self):
@@ -65,6 +98,17 @@ class TestExactConditional:
             scaled = ExpExpModel(base.lam / s, base.mu)
             q2 = CrossingQuery(q.u, q.c / s, q.v * s, q.t * s)
             assert exact_conditional(scaled, q2) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_long_horizon_approaches_closed_form(self, c):
+        # P{0 < tau < inf} = e^(-Rw) - e^(-mu w) with R = mu - lam/c above
+        # the critical rate, 1 - e^(-mu w) at or below it; w = u = 10
+        limit = math.exp(-(1.0 - 1.0 / c) * 10.0) if c > 1.0 else 1.0
+        limit -= math.exp(-10.0)
+        _raises_or_is_near(lambda t: exact_conditional(UNIT, CrossingQuery(10.0, c, 0.0, t)), limit)
+
+    def test_long_horizon_at_the_critical_rate(self):
+        _raises_or_rises_to_one(lambda t: exact_conditional(UNIT, CrossingQuery(10.0, 1.0, 0.0, t)))
 
     def test_infinite_horizon_capped(self):
         q = CrossingQuery(10.0, 1.4, 0.0)
@@ -328,6 +372,13 @@ class TestUnconditional:
             assert prev - 1e-10 <= val <= psi * (1.0 + 1e-12)
             prev = val
         assert val == pytest.approx(psi, rel=1e-12)
+        for c in (0.5, 2.0):
+            # the ruin probability: (lam/(c mu)) e^(-(mu - lam/c) u), or 1
+            limit = min(1.0, math.exp(-(1.0 - 1.0 / c) * 10.0) / c)
+            _raises_or_is_near(lambda t: unconditional_exp_first_renewal(UNIT, 10.0, c, t), limit)
+
+    def test_long_horizon_at_the_critical_rate(self):
+        _raises_or_rises_to_one(lambda t: unconditional_exp_first_renewal(UNIT, 10.0, 1.0, t))
 
     def test_stays_a_probability_below_the_critical_rate(self):
         val = unconditional_exp_first_renewal(UNIT, 10.0, 0.8, 7000.0)
@@ -344,6 +395,11 @@ class TestUnconditional:
             unconditional_exp_first_renewal(UNIT, -1.0, 1.0, 10.0)
         with pytest.raises(ValueError):
             unconditional_exp_first_renewal(UNIT, 1.0, 0.0, 10.0)
+        # non-finite level and rate, with CrossingQuery's messages
+        with pytest.raises(ValueError, match="level u must be finite and > 0"):
+            unconditional_exp_first_renewal(UNIT, math.inf, 1.0, 10.0)
+        with pytest.raises(ValueError, match="drift rate c must be finite and > 0"):
+            unconditional_exp_first_renewal(UNIT, 10.0, math.inf, 10.0)
 
     def test_horizon_edges(self):
         # a NaN horizon is an error, not a silent 0.0

@@ -27,27 +27,28 @@ from levelcross import (
     SweepResult,
 )
 
-# (class, positional arguments, other arguments, repr, arguments that fail validation)
+# (class, positional arguments, other arguments, repr, argument tuples that fail validation)
 CASES = [
     (MomentSet, (1.0, 2.0, 3.0), (1.0, 2.0, 4.0),
      "MomentSet(mean=1.0, variance=2.0, central3=3.0)", None),
-    (Exponential, (2.0,), (3.0,), "Exponential(rate=2.0)", (0.0,)),
+    (Exponential, (2.0,), (3.0,), "Exponential(rate=2.0)", [(0.0,)]),
     (Mix2Exp, (1.0, 3.0, 0.5), (1.0, 3.0, 0.25),
-     "Mix2Exp(rate1=1.0, rate2=3.0, p=0.5)", (3.0, 1.0, 0.5)),
-    (Erlang, (1.2, 2), (1.2, 3), "Erlang(rate=1.2, shape=2)", (1.0, 0)),
-    (Pareto, (4.0, 0.35), (4.0, 0.4), "Pareto(shape=4.0, scale=0.35)", (4.0, math.inf)),
+     "Mix2Exp(rate1=1.0, rate2=3.0, p=0.5)", [(3.0, 1.0, 0.5)]),
+    (Erlang, (1.2, 2), (1.2, 3), "Erlang(rate=1.2, shape=2)", [(1.0, 0)]),
+    (Pareto, (4.0, 0.35), (4.0, 0.4), "Pareto(shape=4.0, scale=0.35)", [(4.0, math.inf)]),
     (ModelConstants, (1.0, 2.0, 1.0, 0.25, 0.5), (1.0, 2.0, 1.0, 0.25, 0.75),
      "ModelConstants(M=1.0, D2=2.0, c_star=1.0, kf_coeff=0.25, ks_coeff=0.5)", None),
     (CrossingQuery, (10.0, 1.0), (10.0, 1.5),
-     "CrossingQuery(u=10.0, c=1.0, v=0.0, t=inf)", (10.0, 1.0, 5.0, 5.0)),
+     "CrossingQuery(u=10.0, c=1.0, v=0.0, t=inf)", [(10.0, 1.0, 5.0, 5.0)]),
     (ApproxResult, (0.5, -0.1, 0.2, 0.45), (0.5, -0.1, 0.2, 0.5),
      "ApproxResult(main=0.5, correction_f=-0.1, correction_s=0.2, corrected=0.45)", None),
-    (ExpExpModel, (1.0, 2.0), (2.0, 1.0), "ExpExpModel(lam=1.0, mu=2.0)", (0.0, 1.0)),
+    (ExpExpModel, (1.0, 2.0), (2.0, 1.0), "ExpExpModel(lam=1.0, mu=2.0)",
+     [(0.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]),
     (SimEstimate, (0.5, 100, 0.4, 0.6, 7, 50), (0.5, 100, 0.4, 0.6, 8, 50),
      "SimEstimate(estimate=0.5, trials=100, ci_low=0.4, ci_high=0.6, seed=7, successes=50)",
      None),
     (SweepGrid, (0.5, 2.0, 0.5), (0.5, 2.0, 0.25),
-     "SweepGrid(c_min=0.5, c_max=2.0, delta_c=0.5, refinements=())", (0.5, 2.0, 0.0)),
+     "SweepGrid(c_min=0.5, c_max=2.0, delta_c=0.5, refinements=())", [(0.5, 2.0, 0.0)]),
     (SweepResult, ("c", ("main",)), ("t", ("main",)),
      "SweepResult(var='c', methods=('main',), rows=[])", None),
 ]
@@ -190,9 +191,10 @@ def test_each_sweep_result_gets_its_own_rows():
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[4] is not None], ids=ids)
 def test_validation(case):
-    cls, _, _, _, bad = case
-    with pytest.raises(ValueError):
-        cls(*bad)
+    cls, _, _, _, bad_args = case
+    for bad in bad_args:
+        with pytest.raises(ValueError):
+            cls(*bad)
 
 
 @pytest.mark.parametrize("case", CASES, ids=ids)
