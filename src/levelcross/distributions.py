@@ -11,8 +11,7 @@ method; :class:`levelcross.sim.LcgStream` is the deterministic one used
 throughout.  ``draw_kernel()`` is the one definition of a draw, which
 ``sample()`` and the simulator both apply to negated uniforms; each
 family's kernel binds the law's constants once, not per draw.  A new law
-defines ``_inverse`` or ``draw_kernel()``; by default each is derived from
-the other.
+defines ``draw_kernel()``, and ``quantile()`` is derived from it.
 """
 
 import math
@@ -58,25 +57,33 @@ class Distribution:
         raise NotImplementedError
 
     def quantile(self, u: float) -> float:
-        """Inverse distribution function; requires u in (0, 1)."""
+        """Inverse distribution function; requires u in (0, 1).  A kernel of
+        one uniform is the inverse transform, applied here to ``-u``; with
+        more, ``cdf`` is bisected over [0, mean], doubling the upper end
+        until it brackets u."""
         if not 0.0 < u < 1.0:
             raise ValueError(f"quantile requires u in (0, 1), got {u!r}")
-        return self._inverse(u)
-
-    def _inverse(self, u: float) -> float:
-        """The quantile without its argument check; by default the kernel
-        applied to ``-u``, which fits a kernel that inverts one uniform."""
-        transform, divisor, _ = self.draw_kernel()
-        return transform(-u) / divisor
+        transform, divisor, n = self.draw_kernel()
+        if n == 1:
+            return transform(-u) / divisor
+        lo, hi = 0.0, self.moments().mean
+        while self.cdf(hi) < u:
+            hi *= 2.0
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            if self.cdf(mid) < u:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
     def draw_kernel(self) -> tuple[Callable[[float], float], float, int]:
         """``(transform, divisor, n)``: one draw is the in-order sum of
         ``transform(-u) / divisor`` over ``n`` fresh uniforms ``u``, and
-        ``transform`` skips the argument check.  The default is the inverse
-        transform of ``u``, divided exactly by 1.0; a family's transform is
-        a builtin or a closure over its constants, so take one kernel for
+        ``transform`` skips the argument check.  A family's transform is a
+        builtin or a closure over its constants, so take one kernel for
         many draws."""
-        return (lambda m: self._inverse(-m)), 1.0, 1
+        raise NotImplementedError
 
     def moments(self) -> MomentSet:
         raise NotImplementedError
@@ -238,20 +245,6 @@ class Erlang(Distribution):
         for j in range(self.shape):
             tail += math.exp(j * log_rx - math.lgamma(j + 1) - rx)
         return 1.0 - tail
-
-    def _inverse(self, u: float) -> float:
-        if self.shape == 1:
-            return super()._inverse(u)  # the Exponential(rate) quantile
-        lo, hi = 0.0, self.shape / self.rate
-        while self.cdf(hi) < u:
-            hi *= 2.0
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
     def moments(self) -> MomentSet:
         k, r = self.shape, self.rate

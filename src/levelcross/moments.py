@@ -26,12 +26,6 @@ class ModelConstants:
     kf_coeff: float
     ks_coeff: float
 
-    def kf(self, c: float) -> float:
-        return self.kf_coeff / c
-
-    def ks(self, c: float) -> float:
-        return self.ks_coeff / c
-
 
 def model_constants_generic(t: MomentSet, y: MomentSet) -> ModelConstants:
     """Constants from raw moment sets; this is the defining formula."""

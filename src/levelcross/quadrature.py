@@ -173,9 +173,10 @@ def _peak_reach(log_f, x, peak, h, log_at_h):
     """Largest d = h / 2^k (k < _PEAK_HALVINGS) with log_f(x + d) within
     _PEAK_DROP of ``peak``; ``log_at_h`` is log_f(x + h), and h may be < 0.
 
-    Raises QuadratureError when the last halving still lands more than
-    _PEAK_DROP below the peak at a finite value: the peak is then narrower
-    than h / 2^_PEAK_HALVINGS, and the Kronrod nodes may all miss it."""
+    Past a last halving still more than _PEAK_DROP below the peak at a
+    finite value, the Kronrod node of [x, x + d] nearest x may still sample
+    the peak for bisection to resolve (sound where [x, x + d] holds most of
+    the integral); QuadratureError is raised when that node underflows."""
     d, lv = h, log_at_h
     for _ in range(_PEAK_HALVINGS):
         if lv - peak >= -_PEAK_DROP:
@@ -183,10 +184,13 @@ def _peak_reach(log_f, x, peak, h, log_at_h):
         d *= 0.5
         lv = log_f(x + d)
     if -math.inf < lv < peak - _PEAK_DROP:
-        raise QuadratureError(
-            f"the log-integrand at {x + d:g} is still {peak - lv:.3g} below its "
-            f"scanned peak at {x:g} after {_PEAK_HALVINGS} halvings of {h:g}"
-        )
+        near = x + 0.5 * d * (1.0 - _XGK[0])
+        lv = log_f(near)
+        if not lv > peak - 745.0:  # where `scaled` below gives 0.0
+            raise QuadratureError(
+                f"the log-integrand at {near:g} is still {peak - lv:.3g} below its "
+                f"scanned peak at {x:g} after {_PEAK_HALVINGS} halvings of {h:g}"
+            )
     return d
 
 
@@ -214,7 +218,8 @@ def integrate_log_scaled(
     reach ``rel_tol`` (for example a tolerance below the round-off floor,
     such as 1e-16), when the scan misses a peak so narrow and high that
     the scaled integrand overflows, when a scanned log-integrand is NaN,
-    and when the peak is too narrow for the halvings to reach.
+    and when the peak is too narrow for the halvings and the Kronrod node
+    nearest it to reach.
     """
     if not (b > a):
         return -math.inf

@@ -220,9 +220,8 @@ class TestCorrectedExpansion:
     def test_identity(self):
         q = CrossingQuery(20.0, 0.9, 1.0, 300.0)
         res = corrected_expansion(q, EXP_PAIR)
-        rebuilt = res.main + EXP_PAIR.kf(q.c) * res.correction_f + EXP_PAIR.ks(
-            q.c
-        ) * res.correction_s
+        kf, ks = EXP_PAIR.kf_coeff / q.c, EXP_PAIR.ks_coeff / q.c
+        rebuilt = res.main + kf * res.correction_f + ks * res.correction_s
         assert res.corrected == rebuilt
 
     def test_zero_coefficients_reduce_to_main(self):

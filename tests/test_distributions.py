@@ -22,7 +22,7 @@ from levelcross.distributions import (
     parse_spec,
 )
 from levelcross.errors import MomentUndefinedError, SpecParseError
-from levelcross.sim import LcgStream
+from levelcross.sim import LcgStream, simulate_conditional
 from oracles import reference_inverse
 from strategies import LAWS
 
@@ -126,6 +126,55 @@ class TestQuantile:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 Exponential(1.0).quantile(bad)
+
+    # float.hex of quantile(u) at the u of QUANTILE_U, recorded while Erlang
+    # defined its own quantile: every family's one-uniform kernel, and the
+    # cdf bisection of Erlang with shape > 1
+    QUANTILE_U = (2**-32, 0.1, 0.5, 0.9, 1.0 - 2**-32)
+    QUANTILE_GOLDENS = {
+        "exp:0.7": ("0x1.6db6db6e6db6ep-32", "0x1.34413855077d6p-3",
+                    "0x1.fafcd6c40e50dp-1", "0x1.a50b4c3030bd7p+1", "0x1.fafcd6c40e50dp+4"),
+        "erlang:1.3,1": ("0x1.89d89d8a9d89dp-33", "0x1.4bf777be0810dp-4",
+                         "0x1.10fe4c422f17dp-1", "0x1.c56ea0d16f90ep+0", "0x1.10fe4c422f17dp+4"),
+        "erlang:1.2,2": ("0x1.2db3778419f34p-16", "0x1.c5d004c038c88p-2",
+                         "0x1.660c1fa537ceap+0", "0x1.9ee74ac767b2cp+1", "0x1.536a7f0b433b0p+4"),
+        "erlang:0.7,5": ("0x1.6ae4de514ee66p-5", "0x1.bcd10fa152c94p+1",
+                         "0x1.ab0df571a4ff0p+2", "0x1.6d6bd64498c9ap+3", "0x1.7a9ca19504c9cp+5"),
+        "pareto:4,0.35": ("0x1.6db6db6e9b6dcp-33", "0x1.3859b29b11fd9p-4",
+                          "0x1.14c8715ae5f54p-1", "0x1.1ca0bdf53d33ap+1", "0x1.6c49249249248p+9"),
+        # rate2 == 2 rate1: the closed form; rate2 == 3 rate1: the bisection
+        "mix2exp:1,2,0.6666666666666666": (
+            "0x1.8000000090000p-33", "0x1.45cec4a4ae899p-4", "0x1.15e55f6e98829p-1",
+            "0x1.f7011ac4dcb7dp+0", "0x1.5c6766f47fb8ep+4"),
+        "mix2exp:1,3,0.6666666666666666": (
+            "0x1.333328005c290p-33", "0x1.076242646bd98p-4", "0x1.de43ce9164050p-2",
+            "0x1.e8770777f2062p+0", "0x1.5c6766b473b96p+4"),
+    }
+
+    @pytest.mark.parametrize("spec", QUANTILE_GOLDENS)
+    def test_golden_bits(self, spec):
+        law = parse_spec(spec)
+        got = tuple(law.quantile(u).hex() for u in self.QUANTILE_U)
+        assert got == self.QUANTILE_GOLDENS[spec]
+
+    def test_law_without_kernel_raises(self):
+        # draw_kernel() is the one definition of a draw: without it there is
+        # no quantile, no sample and no simulation, whichever law it is
+        class Bare(Distribution):
+            def cdf(self, x):
+                return -math.expm1(-x) if x > 0.0 else 0.0
+
+            def moments(self):
+                return Exponential(1.0).moments()
+
+        law = Bare()
+        with pytest.raises(NotImplementedError):
+            law.quantile(0.5)
+        with pytest.raises(NotImplementedError):
+            law.sample(LcgStream(1))
+        for pair in [(law, Exponential(1.0)), (Exponential(1.0), law)]:
+            with pytest.raises(NotImplementedError):
+                simulate_conditional(*pair, 10.0, 1.0, 0.0, 50.0, 10, 7)
 
     def test_extreme_upper_tail_stable(self):
         # heavy tail: no cancellation blowup near u = 1
@@ -292,8 +341,8 @@ class TestSampling:
     def test_kernel_fields(self):
         # the exponential family (and Mix2Exp with q == 0) hands the
         # simulator math.log1p itself; Pareto and the other Mix2Exp laws a
-        # closure over their constants; a law that defines only _inverse a
-        # closure that applies its unchecked quantile to u = -m, divided by 1
+        # closure over their constants; a law outside the four families
+        # defines its own kernel, and its quantile and sample() follow it
         assert Exponential(0.7).draw_kernel() == (math.log1p, -0.7, 1)
         assert Erlang(0.7, 3).draw_kernel() == (math.log1p, -0.7, 3)
         assert Mix2Exp(0.7, 2.0, 1.0).draw_kernel() == (math.log1p, -0.7, 1)
@@ -306,12 +355,11 @@ class TestSampling:
             assert callable(transform) and tuple(rest) == fields
 
         class Halved(Distribution):
-            def _inverse(self, u):
-                return 0.5 * u
+            def draw_kernel(self):
+                return (lambda m: -0.5 * m), 1.0, 1
 
         law = Halved()
-        transform, *rest = law.draw_kernel()
-        assert tuple(rest) == (1.0, 1) and transform(-0.25) == 0.125
+        assert law.quantile(0.25) == 0.125
         assert law.sample(FixedStream([0.25])) == 0.125
 
     # one law per kernel branch: Mix2Exp with p = 0, with q == 0, with
@@ -346,14 +394,21 @@ class TestSampling:
         _assert_kernel_is_reference(law, x)
 
     @pytest.mark.parametrize("law", [
-        Exponential(0.7), Erlang(0.7, 2), Mix2Exp(1.0, 3.0, 0.4), Pareto(4.0, 0.35),
+        Exponential(0.7), Erlang(0.7, 1), Mix2Exp(1.0, 3.0, 0.4), Pareto(4.0, 0.35),
     ], ids=repr)
-    def test_inverse_override_changes_quantile_not_draws(self, law):
-        changed = type("Changed", (type(law),), {"_inverse": lambda self, u: 42.0})
-        law2 = changed(*law.__dict__.values())
-        assert law2.quantile(0.5) == 42.0 != law.quantile(0.5)
+    def test_kernel_override_changes_quantile_and_draws(self, law):
+        # a one-uniform law's quantile is its kernel at -u: doubling the
+        # divisor halves the quantile and every draw alike, bit for bit
+        def halved(self):
+            transform, divisor, n = type(law).draw_kernel(self)
+            return transform, 2.0 * divisor, n
+
+        law2 = type("Halved", (type(law),), {"draw_kernel": halved})(*law.__dict__.values())
+        for u in (2**-32, 0.1, 0.5, 0.9):
+            assert law2.quantile(u) == 0.5 * law.quantile(u)
+            assert law2.sample(FixedStream([u])) == law2.quantile(u)
         s1, s2 = LcgStream(7), LcgStream(7)
-        assert [law2.sample(s1) for _ in range(5)] == [law.sample(s2) for _ in range(5)]
+        assert [law2.sample(s1) for _ in range(5)] == [0.5 * law.sample(s2) for _ in range(5)]
 
     def test_sample_moments_close(self):
         n = 100_000

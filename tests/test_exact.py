@@ -27,20 +27,22 @@ UNIT = ExpExpModel(1.0, 1.0)
 # from 1e4 to far past the point where the integral's peak hides from the
 # quadrature
 LONG_HORIZONS = [10.0**k for k in range(4, 31)] + [1e300]
+# up to here both exact routes return values at c = 0.5 and 2 (u = 10, v = 0)
+LONGEST_RETURNED = 1e23
 
 
 def _raises_or_is_near(value_at, limit):
-    """At each long horizon t, value_at(t) raises QuadratureError or lies
-    within 1e-8 of its t = inf value ``limit``; not every call raises."""
-    returned = 0
+    """At each long horizon t, value_at(t) lies within 1e-8 of its t = inf
+    value ``limit``; above LONGEST_RETURNED it may raise QuadratureError
+    instead."""
     for t in LONG_HORIZONS:
         try:
             val = value_at(t)
         except QuadratureError:
+            if t <= LONGEST_RETURNED:
+                raise
             continue
         assert abs(val - limit) <= 1e-8, t
-        returned += 1
-    assert returned
 
 
 def _raises_or_rises_to_one(value_at):

@@ -138,12 +138,6 @@ class TestInvariants:
                 k = constants_for(t_dist, y_dist)
                 assert k.c_star * k.M == pytest.approx(1.0, rel=1e-14)
 
-    def test_kf_ks_scale_like_inverse_c(self):
-        k = constants_for(Exponential(1.3), Exponential(0.8))
-        for c in (0.5, 1.0, 2.0):
-            assert k.kf(c) * c == pytest.approx(k.kf_coeff, rel=1e-12)
-            assert k.ks(c) * c == pytest.approx(k.ks_coeff, rel=1e-12)
-
     def test_degenerate_variance_rejected(self):
         flat = MomentSet(mean=1.0, variance=0.0, central3=0.0)
         with pytest.raises(MomentUndefinedError):

@@ -107,6 +107,23 @@ def test_log_scaled_peak_at_the_end_of_a_long_interval(rate):
     assert math.exp(total) == pytest.approx(1.0 / rate, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("drop", [300.0, 1000.0, 1.0e5])
+def test_log_scaled_peak_beyond_the_halvings(drop):
+    # a spike at y = 0 that falls `drop` by y = d, the last of the 52 halvings
+    # of the scan spacing 1: the Kronrod node nearest the peak, 0.0043 d
+    # from it, still samples it, and bisection resolves the peak
+    rate = drop * 2.0**52
+    total = integrate_log_scaled(lambda y: -rate * y, 0.0, 32.0)
+    assert total == pytest.approx(-math.log(rate), rel=1e-12)
+
+
+def test_log_scaled_peak_beyond_the_nearest_node_raises():
+    # the same spike falling 1e6 by y = d underflows at that node too
+    rate = 1.0e6 * 2.0**52
+    with pytest.raises(QuadratureError, match="halvings"):
+        integrate_log_scaled(lambda y: -rate * y, 0.0, 32.0)
+
+
 def test_log_scaled_narrow_interior_peak_on_a_scan_point():
     # a two-sided exponential spike of width 1e-3 at scan point 16 of 32
     total = integrate_log_scaled(lambda y: 50.0 - 1e3 * abs(y - 5e3), 0.0, 1e4)

@@ -90,14 +90,15 @@ class TestWilson:
 
 
 class _Weibull(Distribution):
-    """A law outside the four families that defines only ``_inverse``, so
-    the default ``draw_kernel()`` draws it."""
+    """A law outside the four families, drawn by its own ``draw_kernel()``:
+    the inverse transform scale * (-log(1 - u))^(1/shape) at u = -m."""
 
     def __init__(self, scale, shape):
         self.scale, self.shape = scale, shape
 
-    def _inverse(self, u):
-        return self.scale * (-math.log1p(-u)) ** (1.0 / self.shape)
+    def draw_kernel(self):
+        scale, power = self.scale, 1.0 / self.shape
+        return (lambda m: scale * (-math.log1p(m)) ** power), 1.0, 1
 
 
 class TestTrajectories:
