@@ -1,18 +1,42 @@
 """Exact crossing-time results for exponential gaps and exponential jumps.
 
 With T ~ Exponential(lam) and Y ~ Exponential(mu) the conditional
-probability P{v < tau <= t | first renewal at v} has an exact
-representation as a single integral of a Bessel I_1 kernel:
+probability P{v < tau <= t | first renewal at v} has two exact
+representations, and ``exact_conditional`` routes each query to one.
 
-    sqrt(lam mu c) (v + u/c) e^{-mu(u + cv)}
-        * int_0^{t-v} I_1(2 sqrt(lam mu c (y+B) y)) / sqrt((y+B) y)
-          * e^{-(mu c + lam) y} dy,        B = v + u/c.
+The theta route is the classical finite-horizon ruin integral for
+exponential claims (Asmussen & Albrecher, Ruin Probabilities, 2010,
+ch. V) integrated against the first jump.  With beta = lam/c,
+r = sqrt(beta mu), k = sqrt(beta/mu), w = u + cv and T = c(t - v):
 
-The integrand is formed entirely in log space: at t = 1000 the Bessel
+    B - (beta/(pi r)) e^{E0}
+        * int_0^pi e^{-2a sin^2(theta/2)} sin(rw sin theta) 2 sin theta
+          / ((1 - k)^2 + 4k sin^2(theta/2)) dtheta,
+
+    a = (2T + w) r,   E0 = -(sqrt(mu) - sqrt(beta))^2 T - (mu - r) w,
+
+where B = e^{-(mu - beta) w} - e^{-mu w} for beta < mu and 1 - e^{-mu w}
+otherwise is the value at t = inf.  It needs only elementary functions
+and resolves every long horizon, but at short horizons against a high
+level the integral term nearly equals B and the difference cancels.
+With x = sin^2(theta/2) and |sin y| <= y the integral term is at most
+Env = rw e^{E0} sqrt(2/(pi a)), and the theta route is taken only when
+Env <= B/2: the value is then at least B/2, so the rounding of the
+subtraction stays within a few ulps of it.
+
+Every other query takes the Bessel route, a single integral of a Bessel
+I_1 kernel:
+
+    sqrt(lam mu c) L e^{-mu(u + cv)}
+        * int_0^{t-v} I_1(2 sqrt(lam mu c (y+L) y)) / sqrt((y+L) y)
+          * e^{-(mu c + lam) y} dy,        L = v + u/c.
+
+Its integrand is formed entirely in log space: at t = 1000 the Bessel
 argument exceeds 2000 and I_1 alone overflows, while log I_1 minus the
 exponential decay stays bounded.
 
-The integral runs on adaptive Gauss-Kronrod (``integrate_log_scaled``).
+Both integrals run on the one adaptive Gauss-Kronrod routine
+(``gauss_kronrod``, through ``integrate_log_scaled`` for the Bessel one).
 The unconditional value, with an exponential first interval too, is one
 integral of the same kind: that of the ruin-time density, an I_0 and an
 I_1 term (see ``unconditional_exp_first_renewal``).
@@ -26,7 +50,7 @@ import math
 from ._record import record
 from .approx import _RANGE_SLACK, CrossingQuery
 from .errors import QuadratureError, SeriesTruncationError
-from .quadrature import adaptive_simpson, integrate_log_scaled
+from .quadrature import adaptive_simpson, gauss_kronrod, integrate_log_scaled
 from .specfun import log_bessel_i0, log_bessel_i1
 
 __all__ = [
@@ -77,12 +101,62 @@ def infinite_horizon_cap(q: CrossingQuery) -> float:
 def exact_conditional(m: ExpExpModel, q: CrossingQuery, rel_tol: float = 1e-10) -> float:
     """Exact P{v < tau <= t | first renewal at v} for the exponential pair.
 
-    ``rel_tol`` is relative to the Bessel integral.  A tolerance the
-    quadrature cannot meet within its interval budget raises
+    On both routes t = inf stands for the horizon infinite_horizon_cap(q).
+    A query whose theta-integral term is bounded by Env <= B/2 (see the
+    module docstring) takes the theta route.  There ``rel_tol`` bounds the
+    quadrature's error estimate relative to the integral of |integrand|
+    (see :func:`gauss_kronrod`), which Env bounds in turn; since
+    Env <= B - Env <= the value, ``rel_tol`` is relative to the value.  A
+    tolerance below the round-off floor 2^-50 (B + Env)/(B - Env) raises
+    QuadratureError there.  Every other query takes the Bessel route,
+    where ``rel_tol`` is relative to the Bessel integral.  There a
+    tolerance the quadrature cannot meet within its interval budget raises
     QuadratureError, and so does a horizon too long for the integral to
     resolve (see :func:`integrate_log_scaled` and ``_probability``).
     """
     t = infinite_horizon_cap(q) if q.t == math.inf else q.t
+    value = _theta_conditional(m, q, t, rel_tol)
+    return _bessel_conditional(m, q, t, rel_tol) if value is None else value
+
+
+def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: float) -> float | None:
+    """The theta route's value at horizon t, or None where Env <= B/2 fails."""
+    beta = m.lam / q.c
+    w = q.w
+    span = q.c * (t - q.v)
+    r = math.sqrt(beta * m.mu)
+    rw = r * w
+    a = (2.0 * span + w) * r
+    e0 = -((math.sqrt(m.mu) - math.sqrt(beta)) ** 2) * span - (m.mu - r) * w
+    # B, as e^{-(mu - beta) w} (1 - e^{-beta w}) for beta < mu
+    b = math.exp(-max(m.mu - beta, 0.0) * w) * -math.expm1(-min(beta, m.mu) * w)
+    if not b > 0.0:
+        return None
+    log_env = e0 + math.log(rw) - 0.5 * math.log(0.5 * math.pi * a)
+    if not log_env <= math.log(0.5 * b):  # NaN, from an overflowed T at beta = mu, fails too
+        return None
+    env = math.exp(log_env)
+    if rel_tol < 2.0**-50 * (b + env) / (b - env):
+        raise QuadratureError(
+            f"rel_tol {rel_tol:g} is below the round-off floor of the theta route"
+        )
+    k = math.sqrt(beta / m.mu)
+    gap = (1.0 - k) ** 2
+    two_a, four_k = 2.0 * a, 4.0 * k
+
+    def integrand(theta: float) -> float:
+        x = math.sin(0.5 * theta) ** 2
+        sin_theta = math.sin(theta)
+        return math.exp(-two_a * x) * math.sin(rw * sin_theta) * sin_theta / (gap + four_k * x)
+
+    # the factor e^{-2a sin^2(theta/2)} has fallen to e^{-32} by 8/sqrt(a)
+    split = 8.0 / math.sqrt(a)
+    edges = (0.0, split, math.pi) if split < math.pi else (0.0, math.pi)
+    return b - 2.0 * beta / (math.pi * r) * math.exp(e0) * gauss_kronrod(integrand, edges, rel_tol)
+
+
+def _bessel_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: float) -> float:
+    """The Bessel route's value at horizon t."""
     b = q.v + q.u / q.c
     rate_sum = m.mu * q.c + m.lam
     prod = m.lam * m.mu * q.c

@@ -1,13 +1,16 @@
 """Quadrature: adaptive Gauss-Kronrod for the shipped exact path, Simpson
 for the oracles.
 
-``integrate_log_scaled`` integrates a peak-scaled Bessel integrand (the
-exact conditional formula's, and the ruin-time density behind the
-unconditional value) by the QUADPACK QAG scheme (Piessens et al., 1983)
-with the 7-point Gauss / 15-point Kronrod pair: it always bisects the
-interval whose |K15 - G7| is largest, and gives up with
-``QuadratureError`` once ``MAX_INTERVALS`` intervals are in use, so its
-work is bounded whatever tolerance is asked for.
+``gauss_kronrod`` is the one production routine: the QUADPACK QAG scheme
+(Piessens et al., 1983) with the 7-point Gauss / 15-point Kronrod pair.
+It always bisects the interval whose |K15 - G7| is largest, and gives up
+with ``QuadratureError`` once ``MAX_INTERVALS`` intervals are in use, so
+its work is bounded whatever tolerance is asked for.  It serves both
+integrands of the exact path: the exact conditional formula's
+elementary theta-integrand directly, and, through
+``integrate_log_scaled``, the peak-scaled Bessel integrands (the exact
+conditional formula's, and the ruin-time density behind the
+unconditional value).
 
 ``adaptive_simpson`` (recursive, with a depth limit) is kept for
 ``series_oracle``, so that the cross-checks against the exact path run on
@@ -15,11 +18,11 @@ an independent integrator.
 """
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from .errors import QuadratureError
 
-__all__ = ["adaptive_simpson", "integrate_log_scaled"]
+__all__ = ["adaptive_simpson", "gauss_kronrod", "integrate_log_scaled"]
 
 # bisections stop, and QuadratureError is raised, at this many intervals
 MAX_INTERVALS = 1000
@@ -135,12 +138,15 @@ def _g7k15(f, a, b):
     return kronrod * half, abs((kronrod - gauss) * half)
 
 
-def _qag(f, edges, rel_tol):
+def gauss_kronrod(f: Callable[[float], float], edges: Sequence[float], rel_tol: float) -> float:
     """Globally adaptive G7K15 over the intervals between sorted ``edges``.
 
     Stops when the summed |K15 - G7| of all intervals is at most
-    ``rel_tol * |integral|``; each step bisects the interval with the
-    largest |K15 - G7|, and f is evaluated only inside the edges.  Raises
+    ``rel_tol`` times the summed |K15| of the intervals: ``rel_tol *
+    |integral|`` for an integrand of one sign, and for one that changes
+    sign a bound that round-off cannot put out of reach however much the
+    integral cancels.  Each step bisects the interval with the largest
+    |K15 - G7|, and f is evaluated only inside the edges.  Raises
     QuadratureError when ``MAX_INTERVALS`` intervals (at most
     15 * (2 * MAX_INTERVALS - 1) evaluations of f) do not meet it.
     """
@@ -151,7 +157,7 @@ def _qag(f, edges, rel_tol):
     while True:
         total = math.fsum(p[3] for p in parts)
         err = math.fsum(p[0] for p in parts)
-        tol = rel_tol * abs(total)
+        tol = rel_tol * math.fsum(abs(p[3]) for p in parts)
         if err <= tol:
             return total
         if len(parts) >= MAX_INTERVALS:
@@ -170,17 +176,19 @@ def _qag(f, edges, rel_tol):
 
 
 def _peak_reach(log_f, x, peak, h, log_at_h):
-    """Largest d = h / 2^k (k < _PEAK_HALVINGS) with log_f(x + d) within
-    _PEAK_DROP of ``peak``; ``log_at_h`` is log_f(x + h), and h may be < 0.
+    """(d, leans): d is the largest h / 2^k (k < _PEAK_HALVINGS) with
+    log_f(x + d) within _PEAK_DROP of ``peak``; ``log_at_h`` is
+    log_f(x + h), and h may be < 0.
 
     Past a last halving still more than _PEAK_DROP below the peak at a
     finite value, the Kronrod node of [x, x + d] nearest x may still sample
-    the peak for bisection to resolve (sound where [x, x + d] holds most of
-    the integral); QuadratureError is raised when that node underflows."""
+    the peak for bisection to resolve, and ``leans`` is True.  That is
+    sound only where [x, x + d] holds most of the integral, which the
+    caller checks; QuadratureError is raised when that node underflows."""
     d, lv = h, log_at_h
     for _ in range(_PEAK_HALVINGS):
         if lv - peak >= -_PEAK_DROP:
-            return d
+            return d, False
         d *= 0.5
         lv = log_f(x + d)
     if -math.inf < lv < peak - _PEAK_DROP:
@@ -191,7 +199,8 @@ def _peak_reach(log_f, x, peak, h, log_at_h):
                 f"the log-integrand at {near:g} is still {peak - lv:.3g} below its "
                 f"scanned peak at {x:g} after {_PEAK_HALVINGS} halvings of {h:g}"
             )
-    return d
+        return d, True
+    return d, False
 
 
 def integrate_log_scaled(
@@ -219,7 +228,10 @@ def integrate_log_scaled(
     such as 1e-16), when the scan misses a peak so narrow and high that
     the scaled integrand overflows, when a scanned log-integrand is NaN,
     and when the peak is too narrow for the halvings and the Kronrod node
-    nearest it to reach.
+    nearest it to reach.  A peak that needs that node on both sides raises
+    too: the loop's stop test is global, so once one side is resolved the
+    other, whose only non-zero node lies far below the peak, would never
+    be bisected and half the mass would be lost.
     """
     if not (b > a):
         return -math.inf
@@ -234,12 +246,20 @@ def integrate_log_scaled(
         return peak
 
     x = xs[k]
-    edges = [a]
+    edges, leans = [a], 0
     if k > 0:
-        edges.append(max(a, x + _peak_reach(log_f, x, peak, -h, logs[k - 1])))
-        edges.append(x)
+        d, lean = _peak_reach(log_f, x, peak, -h, logs[k - 1])
+        edges += [max(a, x + d), x]
+        leans += lean
     if k < _SCAN_PANELS:
-        edges.append(min(b, x + _peak_reach(log_f, x, peak, h, logs[k + 1])))
+        d, lean = _peak_reach(log_f, x, peak, h, logs[k + 1])
+        edges.append(min(b, x + d))
+        leans += lean
+    if leans == 2:
+        raise QuadratureError(
+            f"the log-integrand is still more than {_PEAK_DROP:g} below its scanned "
+            f"peak at {x:g} on both sides after {_PEAK_HALVINGS} halvings of {h:g}"
+        )
     edges.append(b)
     edges = [e for i, e in enumerate(edges) if i == 0 or e > edges[i - 1]]
 
@@ -248,7 +268,7 @@ def integrate_log_scaled(
         return math.exp(lv) if lv > -745.0 else 0.0
 
     try:
-        mass = _qag(scaled, edges, rel_tol)
+        mass = gauss_kronrod(scaled, edges, rel_tol)
     except OverflowError:
         raise QuadratureError(
             f"the scaled integrand overflowed on [{a:g}, {b:g}]: the scan "

@@ -5,6 +5,10 @@ only when the goldens are re-recorded), so a name moved out of the
 package would break them unseen.  This test reads the scripts' source
 and changes nothing there: every attribute read through a name bound by
 ``import levelcross...`` must resolve in the imported package.
+
+The benchmark's tracer wraps only the functions a module lists in
+``__all__``, and a traced run fails when a layer it expects records no
+calls.  So the quadrature functions the package calls must be public.
 """
 
 import ast
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "levelcross"
 SCRIPTS = sorted(PERFBENCH.glob("*.py"))
 
 
@@ -69,3 +74,16 @@ def test_the_names_that_block_moves_are_pinned():
         found |= {path for path, _ in _library_reads(ast.parse(script.read_text()))[0]}
     assert {"levelcross.sweep_c", "levelcross.series_oracle",
             "levelcross.sim.first_crossing_time"} <= found
+
+
+def test_the_package_imports_only_public_quadrature_names():
+    public = set(importlib.import_module("levelcross.quadrature").__all__)
+    private = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "quadrature"
+        for alias in node.names
+        if alias.name not in public
+    ]
+    assert not private, private

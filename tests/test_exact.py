@@ -21,13 +21,15 @@ from levelcross.exact import (
     unconditional_exp_first_renewal,
 )
 from levelcross.sim import LcgStream, simulate_conditional
+from levelcross.sweep import SweepGrid
 
 UNIT = ExpExpModel(1.0, 1.0)
 
 # from 1e4 to far past the point where the integral's peak hides from the
 # quadrature
 LONG_HORIZONS = [10.0**k for k in range(4, 31)] + [1e300]
-# up to here both exact routes return values at c = 0.5 and 2 (u = 10, v = 0)
+# up to here the unconditional value is returned at c = 0.5 and 2 (u = 10,
+# v = 0); exact_conditional returns values at every horizon
 LONGEST_RETURNED = 1e23
 
 
@@ -107,10 +109,32 @@ class TestExactConditional:
         # the critical rate, 1 - e^(-mu w) at or below it; w = u = 10
         limit = math.exp(-(1.0 - 1.0 / c) * 10.0) if c > 1.0 else 1.0
         limit -= math.exp(-10.0)
-        _raises_or_is_near(lambda t: exact_conditional(UNIT, CrossingQuery(10.0, c, 0.0, t)), limit)
+        for t in LONG_HORIZONS:
+            val = exact_conditional(UNIT, CrossingQuery(10.0, c, 0.0, t))
+            assert abs(val - limit) <= 1e-8, t
 
     def test_long_horizon_at_the_critical_rate(self):
-        _raises_or_rises_to_one(lambda t: exact_conditional(UNIT, CrossingQuery(10.0, 1.0, 0.0, t)))
+        # every horizon returns a probability, and the values rise to
+        # P{0 < tau < inf} = 1 - e^(-mu w), w = u = 10
+        prev = 0.0
+        for t in sorted({10.0 ** (k / 2) for k in range(2, 41)} | set(LONG_HORIZONS)):
+            val = exact_conditional(UNIT, CrossingQuery(10.0, 1.0, 0.0, t))
+            assert prev <= val <= 1.0 + 1e-12, t
+            prev = val
+        assert prev == pytest.approx(-math.expm1(-10.0), rel=1e-15)
+
+    # P{v < tau <= t} by mpmath at 40 digits, from the theta-integral and
+    # from the Bessel integral (mpmath.besseli, pieces at powers of 10),
+    # which agree to 20 digits; the Bessel route raises at the second
+    @pytest.mark.parametrize(
+        "point, want",
+        [
+            ((10.0, 2.0, 0.0, 1e23), 0.0066925470693229822451),
+            ((10.0, 1.0, 0.0, 1e30), 0.99995460007023187325),
+        ],
+    )
+    def test_long_horizon_mpmath(self, point, want):
+        assert exact_conditional(UNIT, CrossingQuery(*point)) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_infinite_horizon_capped(self):
         q = CrossingQuery(10.0, 1.4, 0.0)
@@ -217,6 +241,76 @@ class TestWorkBudget:
         with pytest.raises(QuadratureError):
             exact_conditional(UNIT, CrossingQuery(10.0, 1.2, 0.0, math.inf), rel_tol=1e-18)
         assert len(calls) <= WORK_BOUND
+
+
+class TestRouter:
+    # Short horizons against a high level, where the theta-integral term
+    # nearly equals B: a float64 theta route returned silent wrong values
+    # here (4e4 relative error at (50, 1, 0, 0.1), and -2.2e-16 for
+    # 1.2e-84 at (200, 1, 0, 0.1)) or raised.  The Env <= B/2 rule sends
+    # them to the Bessel route, which returns these values bit for bit.
+    SHORT_HORIZONS = [
+        ((50.0, 1.0, 0.0, 0.1), "0x1.9ca4bab16b2fdp-69"),
+        ((50.0, 1.0, 0.0, 10.0), "0x1.b6dd11773f34ap-34"),
+        ((50.0, 0.5, 0.0, 10.0), "0x1.b72f90276d07dp-30"),
+        ((200.0, 1.0, 0.0, 0.1), "0x1.313233f887c5dp-279"),
+        ((200.0, 1.0, 0.0, 100.0), "0x1.054ef148b68a5p-81"),
+        ((200.0, 1.5, 0.0, 100.0), "0x1.7ca3038182139p-113"),
+    ]
+
+    @pytest.mark.parametrize("point, golden", SHORT_HORIZONS)
+    def test_short_horizon_high_level_takes_bessel(self, point, golden):
+        q = CrossingQuery(*point)
+        assert exact._theta_conditional(UNIT, q, q.t, 1e-10) is None
+        assert exact_conditional(UNIT, q) == float.fromhex(golden)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u=st.floats(1.0, 60.0),
+        c=st.floats(0.3, 3.0),
+        v=st.floats(0.0, 20.0),
+        span=st.floats(0.1, 1e4),
+    )
+    def test_theta_route_matches_bessel_route(self, u, c, v, span):
+        q = CrossingQuery(u, c, v, v + span)
+        theta = exact._theta_conditional(UNIT, q, q.t, 1e-10)
+        if theta is None:
+            return
+        assert exact_conditional(UNIT, q) == theta
+        # the Bessel route at rel_tol 1e-10 was itself 1.9e-10 off mpmath
+        # at (8.35, 2.82, 19.05, 2160.27), where theta was within 1e-15
+        bessel = exact._bessel_conditional(UNIT, q, q.t, 1e-12)
+        assert theta == pytest.approx(bessel, rel=1e-10, abs=0)
+
+    def test_theta_route_where_its_integral_cancels(self):
+        # the theta integral is tiny against the integral of its |integrand|
+        # here; a tolerance relative to the integral itself was out of reach
+        m = ExpExpModel(0.33, 6.6)
+        q = CrossingQuery(41.0, 3.0, 16.0, 23.0)
+        theta = exact._theta_conditional(m, q, q.t, 1e-10)
+        assert theta == pytest.approx(exact._bessel_conditional(m, q, q.t, 1e-12), rel=1e-10, abs=0)
+
+    def test_figure_1_routes(self, monkeypatch):
+        # the 40 figure-1 nodes: only those near c* = 1 integrate Bessel
+        # kernels, the rest take the theta route and call no log_bessel_i1
+        calls = _count_bessel_calls(monkeypatch)
+        bessel_nodes = []
+        for c in SweepGrid(0.05, 2.0, 0.05).nodes():
+            calls.clear()
+            exact_conditional(UNIT, CrossingQuery(10.0, c, 0.0, 100.0))
+            if calls:
+                bessel_nodes.append(c)
+        assert len(bessel_nodes) <= 40 - 31
+        assert all(0.75 <= c <= 1.15 for c in bessel_nodes), bessel_nodes
+
+    def test_theta_route_round_off_floor(self):
+        # a tolerance below 2^-50 (B + Env)/(B - Env) raises before any work
+        q = CrossingQuery(10.0, 2.0, 0.0, 1000.0)
+        with pytest.raises(QuadratureError, match="round-off floor"):
+            exact_conditional(UNIT, q, rel_tol=1e-16)
+        assert exact_conditional(UNIT, q, rel_tol=1e-14) == pytest.approx(
+            exact_conditional(UNIT, q), rel=1e-12
+        )
 
 
 class TestSeriesOracle:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from levelcross.errors import QuadratureError
-from levelcross.quadrature import MAX_INTERVALS, _qag, adaptive_simpson, integrate_log_scaled
+from levelcross.quadrature import MAX_INTERVALS, adaptive_simpson, gauss_kronrod, integrate_log_scaled
 
 
 def test_polynomial_exact():
@@ -61,13 +61,13 @@ def test_gauss_kronrod_polynomial_in_one_rule():
         calls.append(x)
         return 7.0 * x**6 - x**3
 
-    assert _qag(f, (-1.0, 2.0), 1e-14) == pytest.approx(125.25, rel=1e-14)
+    assert gauss_kronrod(f, (-1.0, 2.0), 1e-14) == pytest.approx(125.25, rel=1e-14)
     assert len(calls) == 15
 
 
 def test_gauss_kronrod_sine_and_empty_interval():
-    assert _qag(math.sin, (0, math.pi), 1e-12) == pytest.approx(2.0, abs=1e-12)
-    assert _qag(lambda x: 1.0, (2.0, 2.0), 1e-8) == 0.0
+    assert gauss_kronrod(math.sin, (0, math.pi), 1e-12) == pytest.approx(2.0, abs=1e-12)
+    assert gauss_kronrod(lambda x: 1.0, (2.0, 2.0), 1e-8) == 0.0
     # the log-space entry point maps an empty or reversed interval to log 0
     assert integrate_log_scaled(lambda y: 0.0, 2.0, 2.0) == -math.inf
     assert integrate_log_scaled(lambda y: 0.0, 3.0, 2.0) == -math.inf
@@ -75,13 +75,20 @@ def test_gauss_kronrod_sine_and_empty_interval():
 
 def test_gauss_kronrod_never_evaluates_the_ends():
     # 1/sqrt(x) is infinite at 0; the rule only samples interior points
-    assert _qag(lambda x: x**-0.5, (0.0, 1.0), 5e-10) == pytest.approx(2.0, abs=1e-9)
+    assert gauss_kronrod(lambda x: x**-0.5, (0.0, 1.0), 5e-10) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_gauss_kronrod_relative_tolerance():
     # the tolerance follows the size of the integral, not an absolute scale
-    val = _qag(lambda x: 1e-30 * math.exp(-x), (0.0, 50.0), 1e-12)
+    val = gauss_kronrod(lambda x: 1e-30 * math.exp(-x), (0.0, 50.0), 1e-12)
     assert val == pytest.approx(1e-30 * -math.expm1(-50.0), rel=1e-12)
+
+
+def test_gauss_kronrod_cancelling_integrand():
+    # the integral is ~0 against an integral of |f| of 4: the tolerance is
+    # relative to the summed |K15|, which round-off cannot put out of reach
+    val = gauss_kronrod(lambda x: math.sin(40.0 * x), (0.0, 2.0 * math.pi), 1e-10)
+    assert abs(val) <= 1e-10 * 4.0
 
 
 def test_log_scaled_unreachable_tolerance_raises_after_bounded_work():
@@ -122,6 +129,19 @@ def test_log_scaled_peak_beyond_the_nearest_node_raises():
     rate = 1.0e6 * 2.0**52
     with pytest.raises(QuadratureError, match="halvings"):
         integrate_log_scaled(lambda y: -rate * y, 0.0, 32.0)
+
+
+def test_log_scaled_peak_beyond_the_halvings_on_both_sides():
+    # a two-sided spike at scan point 16 that falls 1.6e5 by y = +-d on each
+    # side: the nearest Kronrod nodes still sample it, but the stop test is
+    # global, so the side resolved second would never be bisected and half
+    # the mass would be lost
+    s = 1.6e5 * 2.0**52
+    try:
+        total = integrate_log_scaled(lambda y: -s * abs(y), -16.0, 16.0)
+    except QuadratureError:
+        return
+    assert total == pytest.approx(math.log(2.0 / s), rel=1e-12)
 
 
 def test_log_scaled_narrow_interior_peak_on_a_scan_point():
