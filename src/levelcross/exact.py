@@ -61,6 +61,11 @@ __all__ = [
     "infinite_horizon_cap",
 ]
 
+# the quadratures' relative error estimates: of the conditional value and
+# the series' Simpson rule, and of the unconditional value
+_REL_TOL = 1e-10
+_UNCONDITIONAL_REL_TOL = 1e-8
+
 
 @record
 class ExpExpModel:
@@ -98,28 +103,26 @@ def infinite_horizon_cap(q: CrossingQuery) -> float:
     return q.v + max(1.0e4, 200.0 * q.w)
 
 
-def exact_conditional(m: ExpExpModel, q: CrossingQuery, rel_tol: float = 1e-10) -> float:
+def exact_conditional(m: ExpExpModel, q: CrossingQuery) -> float:
     """Exact P{v < tau <= t | first renewal at v} for the exponential pair.
 
     On both routes t = inf stands for the horizon infinite_horizon_cap(q).
     A query whose theta-integral term is bounded by Env <= B/2 (see the
-    module docstring) takes the theta route.  There ``rel_tol`` bounds the
-    quadrature's error estimate relative to the integral of |integrand|
-    (see :func:`gauss_kronrod`), which Env bounds in turn; since
-    Env <= B - Env <= the value, ``rel_tol`` is relative to the value.  A
-    tolerance below the round-off floor 2^-50 (B + Env)/(B - Env) raises
-    QuadratureError there.  Every other query takes the Bessel route,
-    where ``rel_tol`` is relative to the Bessel integral.  There a
-    tolerance the quadrature cannot meet within its interval budget raises
-    QuadratureError, and so does a horizon too long for the integral to
-    resolve (see :func:`integrate_log_scaled` and ``_probability``).
+    module docstring) takes the theta route, where the quadrature's error
+    estimate is at most _REL_TOL times the integral of |integrand| (see
+    :func:`gauss_kronrod`), which Env bounds in turn; since
+    Env <= B - Env <= the value, that is relative to the value.  Every
+    other query takes the Bessel route, whose error estimate is at most
+    _REL_TOL times the Bessel integral.  There a horizon too long for the
+    integral to resolve raises QuadratureError (see
+    :func:`integrate_log_scaled` and ``_probability``).
     """
     t = infinite_horizon_cap(q) if q.t == math.inf else q.t
-    value = _theta_conditional(m, q, t, rel_tol)
-    return _bessel_conditional(m, q, t, rel_tol) if value is None else value
+    value = _theta_conditional(m, q, t)
+    return _bessel_conditional(m, q, t, _REL_TOL) if value is None else value
 
 
-def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: float) -> float | None:
+def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | None:
     """The theta route's value at horizon t, or None where Env <= B/2 fails."""
     beta = m.lam / q.c
     w = q.w
@@ -133,13 +136,10 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: floa
     if not b > 0.0:
         return None
     log_env = e0 + math.log(rw) - 0.5 * math.log(0.5 * math.pi * a)
-    if not log_env <= math.log(0.5 * b):  # NaN, from an overflowed T at beta = mu, fails too
+    # Env <= B/2 compared in logs, where 0.5 * B underflows at the least
+    # subnormal B; NaN, from an overflowed T at beta = mu, fails too
+    if not log_env + math.log(2.0) <= math.log(b):
         return None
-    env = math.exp(log_env)
-    if rel_tol < 2.0**-50 * (b + env) / (b - env):
-        raise QuadratureError(
-            f"rel_tol {rel_tol:g} is below the round-off floor of the theta route"
-        )
     k = math.sqrt(beta / m.mu)
     gap = (1.0 - k) ** 2
     two_a, four_k = 2.0 * a, 4.0 * k
@@ -152,7 +152,7 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: floa
     # the factor e^{-2a sin^2(theta/2)} has fallen to e^{-32} by 8/sqrt(a)
     split = 8.0 / math.sqrt(a)
     edges = (0.0, split, math.pi) if split < math.pi else (0.0, math.pi)
-    return b - 2.0 * beta / (math.pi * r) * math.exp(e0) * gauss_kronrod(integrand, edges, rel_tol)
+    return b - 2.0 * beta / (math.pi * r) * math.exp(e0) * gauss_kronrod(integrand, edges, _REL_TOL)
 
 
 def _bessel_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: float) -> float:
@@ -171,7 +171,7 @@ def _bessel_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: flo
 
     log_pref = half_log_prod + math.log(b) - m.mu * (q.u + q.c * q.v)
     return _probability(
-        log_pref + integrate_log_scaled(log_integrand, 0.0, t - q.v, rel_tol=rel_tol)
+        log_pref + integrate_log_scaled(log_integrand, 0.0, t - q.v, rel_tol)
     )
 
 
@@ -182,20 +182,13 @@ def _log_sum_exp(values: list[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
-def series_oracle(
-    m: ExpExpModel,
-    q: CrossingQuery,
-    nmax: int = 500,
-    tail_tol: float | None = 1e-12,
-    quad_tol: float = 1e-10,
-) -> float:
+def series_oracle(m: ExpExpModel, q: CrossingQuery, nmax: int = 500) -> float:
     """Crossing probability from the truncated renewal series.
 
     Integrates over the crossing epoch z the sum over n of
     (count law at n) * (n-fold gap convolution density), weighted by
-    (u+cv)/(u+cz).  With ``tail_tol`` set, raises SeriesTruncationError
-    whenever the neglected tail of the n-sum cannot be bounded below it;
-    pass ``tail_tol=None`` to accept a plain truncation at ``nmax``.
+    (u+cv)/(u+cz).  Raises SeriesTruncationError at an epoch where the
+    n-sum has not fallen e^45 below its largest term by n = ``nmax``.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -216,31 +209,26 @@ def series_oracle(
         la, lg = math.log(jump_mean), math.log(gap_mean)
         logs = []
         top = -math.inf
-        converged = False
         for n in range(1, nmax + 1):
             lt = base + n * la - lgam[n] + (n - 1) * lg - lgam[n - 1]
             logs.append(lt)
             top = max(top, lt)
             # terms fall super-geometrically once n(n+1) > jump*gap
             if n * (n + 1) > 4.0 * jump_mean * gap_mean and lt < top - 45.0:
-                converged = True
                 break
-        if tail_tol is not None and not converged:
+        else:
             raise SeriesTruncationError(
-                f"series tail not bounded below {tail_tol:g} at nmax={nmax} "
-                f"(z={z:g}); increase nmax"
+                f"series tail not bounded at nmax={nmax} (z={z:g}); increase nmax"
             )
         return weight * math.exp(_log_sum_exp(logs))
 
     # scale the absolute tolerance by a crude bound on the integrand mass
     probe = max(integrand(q.v + k * (t - q.v) / 16.0) for k in range(17))
-    tol = quad_tol * max(probe * (t - q.v), 1e-300)
+    tol = _REL_TOL * max(probe * (t - q.v), 1e-300)
     return adaptive_simpson(integrand, q.v, t, tol, initial_panels=64)
 
 
-def unconditional_exp_first_renewal(
-    m: ExpExpModel, u: float, c: float, t: float, rel_tol: float = 1e-8
-) -> float:
+def unconditional_exp_first_renewal(m: ExpExpModel, u: float, c: float, t: float) -> float:
     """P{tau <= t} when the first renewal interval is Exponential(lam) too.
 
     This is the classical ruin problem with exponential claims, whose ruin
@@ -253,9 +241,9 @@ def unconditional_exp_first_renewal(
 
     with w(0) = lam e^{-mu u}, the rate of a crossing at the first jump.
     The value is the single integral of w over [0, t], formed in log space
-    on :func:`integrate_log_scaled`; ``rel_tol`` is relative to it, and a
-    horizon too long to resolve raises QuadratureError as in
-    :func:`exact_conditional`.  At
+    on :func:`integrate_log_scaled` with an error estimate of at most
+    _UNCONDITIONAL_REL_TOL times the value, and a horizon too long to
+    resolve raises QuadratureError as in :func:`exact_conditional`.  At
     t = inf it is the ruin probability (lam/(c mu)) e^{-(mu - lam/c) u}
     above the critical rate lam/mu, and 1 at or below it; at t <= 0 it is
     0.  ``u`` and ``c`` are checked as :class:`CrossingQuery` checks them,
@@ -281,4 +269,4 @@ def unconditional_exp_first_renewal(
         top = max(a, b)
         return log_lam - m.lam * s - m.mu * level + top + math.log1p(math.exp(-abs(a - b)))
 
-    return _probability(integrate_log_scaled(log_density, 0.0, t, rel_tol=rel_tol))
+    return _probability(integrate_log_scaled(log_density, 0.0, t, _UNCONDITIONAL_REL_TOL))

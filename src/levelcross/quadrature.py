@@ -204,10 +204,7 @@ def _peak_reach(log_f, x, peak, h, log_at_h):
 
 
 def integrate_log_scaled(
-    log_f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
+    log_f: Callable[[float], float], a: float, b: float, rel_tol: float
 ) -> float:
     """log of the integral of exp(log_f) over [a, b], or -inf when the
     integral is zero; exp(log_f) itself may over- or underflow.

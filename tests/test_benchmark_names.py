@@ -9,10 +9,14 @@ and changes nothing there: every attribute read through a name bound by
 The benchmark's tracer wraps only the functions a module lists in
 ``__all__``, and a traced run fails when a layer it expects records no
 calls.  So the quadrature functions the package calls must be public.
+
+A call whose arguments no longer fit the library's signature breaks the
+scripts just as unseen, so each call with no starred argument must bind.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,7 @@ SCRIPTS = sorted(PERFBENCH.glob("*.py"))
 
 
 def _library_reads(tree):
-    """(dotted path, line) of each attribute read through a name that an
+    """(dotted path, node) of each attribute read through a name that an
     ``import levelcross...`` statement binds somewhere in the module, and
     the submodules those statements import."""
     roots, modules = {}, set()
@@ -45,8 +49,16 @@ def _library_reads(tree):
                 base = base.value
             if isinstance(base, ast.Name) and base.id in roots:
                 path = ".".join([roots[base.id], *reversed(names)])
-                reads.append((path, node.lineno))
+                reads.append((path, node))
     return reads, modules
+
+
+def _resolve(path):
+    head, *attrs = path.split(".")
+    obj = importlib.import_module(head)
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
@@ -55,15 +67,37 @@ def test_every_library_name_resolves(script):
     for name in modules:
         importlib.import_module(name)
     missing = []
-    for path, line in reads:
-        head, *attrs = path.split(".")
-        obj = importlib.import_module(head)
+    for path, node in reads:
         try:
-            for attr in attrs:
-                obj = getattr(obj, attr)
+            _resolve(path)
         except AttributeError:
-            missing.append(f"{script.name}:{line}: {path}")
+            missing.append(f"{script.name}:{node.lineno}: {path}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_every_library_call_binds(script):
+    tree = ast.parse(script.read_text(), str(script))
+    reads, modules = _library_reads(tree)
+    for name in modules:
+        importlib.import_module(name)
+    callees = {node: path for path, node in reads}
+    unbound = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and call.func in callees):
+            continue
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            continue
+        path = callees[call.func]
+        try:
+            inspect.signature(_resolve(path)).bind(
+                *[None] * len(call.args), **{k.arg: None for k in call.keywords}
+            )
+        except TypeError as exc:
+            unbound.append(f"{script.name}:{call.lineno}: {path}: {exc}")
+    assert not unbound, unbound
 
 
 def test_the_names_that_block_moves_are_pinned():

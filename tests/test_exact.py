@@ -183,7 +183,7 @@ class TestGoldens:
     # rate about mu*c + lam, so over a long span its whole mass lies
     # between the scan's first two points.  Recorded from the
     # recursive-Simpson path, whose 256 panels sampled y = 0; checked here
-    # to the promised rel_tol 1e-10.
+    # to the promised 1e-10.
     STRONG_DRIFT = [
         ((10.0, 30.0, 0.0, math.inf), 1.7960776312113508e-05),
         ((50.0, 500.0, 0.0, 1000.0), 2.0284839224879203e-23),
@@ -227,20 +227,14 @@ WORK_BOUND = 33 + 2 * 52 + 15 * (2 * MAX_INTERVALS - 1)
 
 
 class TestWorkBudget:
-    def test_tight_tolerance_at_infinite_horizon_finishes(self, monkeypatch):
+    # the Bessel-routed goldens, which made 212 and 152 log_bessel_i1 calls
+    @pytest.mark.parametrize("point, want", TestGoldens.CONDITIONAL[::2])
+    def test_bessel_route_finishes_far_inside_the_budget(self, monkeypatch, point, want):
         calls = _count_bessel_calls(monkeypatch)
-        val = exact_conditional(UNIT, CrossingQuery(10.0, 1.2, 0.0, math.inf), rel_tol=1e-14)
-        # far inside the budget: a few dozen rules, not thousands
-        assert len(calls) <= WORK_BOUND // 20
-        assert 0.0 <= val <= 1.0
-        assert val == pytest.approx(0.1888302029077985, rel=1e-12)
-
-    def test_unreachable_tolerance_raises(self, monkeypatch):
-        # below the round-off floor the interval budget ends the bisections
-        calls = _count_bessel_calls(monkeypatch)
-        with pytest.raises(QuadratureError):
-            exact_conditional(UNIT, CrossingQuery(10.0, 1.2, 0.0, math.inf), rel_tol=1e-18)
-        assert len(calls) <= WORK_BOUND
+        val = exact_conditional(UNIT, CrossingQuery(*point))
+        # a few dozen rules, not thousands
+        assert 0 < len(calls) <= WORK_BOUND // 20
+        assert val == pytest.approx(want, rel=1e-12)
 
 
 class TestRouter:
@@ -261,7 +255,7 @@ class TestRouter:
     @pytest.mark.parametrize("point, golden", SHORT_HORIZONS)
     def test_short_horizon_high_level_takes_bessel(self, point, golden):
         q = CrossingQuery(*point)
-        assert exact._theta_conditional(UNIT, q, q.t, 1e-10) is None
+        assert exact._theta_conditional(UNIT, q, q.t) is None
         assert exact_conditional(UNIT, q) == float.fromhex(golden)
 
     @settings(max_examples=200, deadline=None)
@@ -273,7 +267,7 @@ class TestRouter:
     )
     def test_theta_route_matches_bessel_route(self, u, c, v, span):
         q = CrossingQuery(u, c, v, v + span)
-        theta = exact._theta_conditional(UNIT, q, q.t, 1e-10)
+        theta = exact._theta_conditional(UNIT, q, q.t)
         if theta is None:
             return
         assert exact_conditional(UNIT, q) == theta
@@ -287,7 +281,7 @@ class TestRouter:
         # here; a tolerance relative to the integral itself was out of reach
         m = ExpExpModel(0.33, 6.6)
         q = CrossingQuery(41.0, 3.0, 16.0, 23.0)
-        theta = exact._theta_conditional(m, q, q.t, 1e-10)
+        theta = exact._theta_conditional(m, q, q.t)
         assert theta == pytest.approx(exact._bessel_conditional(m, q, q.t, 1e-12), rel=1e-10, abs=0)
 
     def test_figure_1_routes(self, monkeypatch):
@@ -303,14 +297,19 @@ class TestRouter:
         assert len(bessel_nodes) <= 40 - 31
         assert all(0.75 <= c <= 1.15 for c in bessel_nodes), bessel_nodes
 
-    def test_theta_route_round_off_floor(self):
-        # a tolerance below 2^-50 (B + Env)/(B - Env) raises before any work
-        q = CrossingQuery(10.0, 2.0, 0.0, 1000.0)
-        with pytest.raises(QuadratureError, match="round-off floor"):
-            exact_conditional(UNIT, q, rel_tol=1e-16)
-        assert exact_conditional(UNIT, q, rel_tol=1e-14) == pytest.approx(
-            exact_conditional(UNIT, q), rel=1e-12
-        )
+    def test_benchmark_tracer_query_takes_bessel(self, monkeypatch):
+        # perfbench/bench_tests.py::test_trace_counts_layers_and_items
+        # needs more than 100 log_bessel_i1 calls here; it made 122
+        calls = _count_bessel_calls(monkeypatch)
+        exact_conditional(UNIT, CrossingQuery(10.0, 1.0, 0.0, 20.0))
+        assert len(calls) > 100
+
+    @pytest.mark.parametrize("t", [100.0, 1e4, math.inf])
+    def test_least_subnormal_b(self, t):
+        # B is 5e-324 for u in [1488.07, 1490.26] at c = 2, where 0.5 * B
+        # underflows; the Env <= B/2 rule took log(0) and raised ValueError
+        for k in range(148807, 149027):
+            assert 0.0 <= exact_conditional(UNIT, CrossingQuery(k / 100, 2.0, 0.0, t)) <= 1e-320
 
 
 class TestSeriesOracle:
@@ -328,12 +327,6 @@ class TestSeriesOracle:
         assert series_oracle(UNIT, q) == pytest.approx(
             exact_conditional(UNIT, q), abs=1e-8
         )
-
-    def test_truncation_monotone(self):
-        q = CrossingQuery(10.0, 1.0, 0.0, 50.0)
-        low = series_oracle(UNIT, q, nmax=1, tail_tol=None)
-        full = series_oracle(UNIT, q, nmax=200, tail_tol=None)
-        assert 0.0 <= low <= full
 
     def test_insufficient_truncation_raises(self):
         with pytest.raises(SeriesTruncationError):
@@ -354,7 +347,7 @@ class TestSeriesOracle:
         assert 0.0 <= val <= 1.0 + 1e-12
         assert abs(val - series_oracle(UNIT, q)) <= 1e-8
         later = exact_conditional(UNIT, CrossingQuery(u, c, v, v + span + more))
-        # each value carries up to rel_tol 1e-10 of its integral
+        # each value carries up to 1e-10 of its integral
         assert later >= val - 1e-9
 
     def test_nmax_validation(self):
@@ -387,7 +380,7 @@ def _nested_unconditional(model, u, c, t):
 
     def integrand(v):
         q = CrossingQuery(u=u, c=c, v=v, t=t)
-        return exact_conditional(model, q, rel_tol=1e-12) * math.exp(-model.lam * v)
+        return exact_conditional(model, q) * math.exp(-model.lam * v)
 
     edges = [0.0, 1.0]
     while edges[-1] < t:
@@ -425,19 +418,19 @@ class TestUnconditional:
         assert unconditional_exp_first_renewal(UNIT, 10.0, 1.0, 1e-9) <= 1e-9
 
     def test_large_level_vanishes(self):
-        val = unconditional_exp_first_renewal(UNIT, 200.0, 1.0, 50.0, rel_tol=1e-6)
+        val = unconditional_exp_first_renewal(UNIT, 200.0, 1.0, 50.0)
         assert 0.0 <= val < 1e-30
 
     def test_between_first_term_and_total_bound(self):
         u, c, t = 10.0, 1.0, 100.0
         rate = UNIT.lam + c * UNIT.mu
         first = UNIT.lam * math.exp(-UNIT.mu * u) / rate * -math.expm1(-rate * t)
-        val = unconditional_exp_first_renewal(UNIT, u, c, t, rel_tol=1e-7)
+        val = unconditional_exp_first_renewal(UNIT, u, c, t)
         assert first < val <= 1.0
 
     def test_monte_carlo_agreement(self):
         u, c, t = 10.0, 1.0, 100.0
-        want = unconditional_exp_first_renewal(UNIT, u, c, t, rel_tol=1e-7)
+        want = unconditional_exp_first_renewal(UNIT, u, c, t)
         n = 20_000
         est = _simulate_unconditional(UNIT, u, c, t, n, 99)
         se = math.sqrt(want * (1.0 - want) / n)
@@ -464,7 +457,7 @@ class TestUnconditional:
         prev = 0.0
         for t in (10.0, 100.0, 1000.0, 1.0e4):
             val = unconditional_exp_first_renewal(UNIT, 10.0, 1.3, t)
-            # each value carries up to rel_tol 1e-8 of its integral
+            # each value carries up to 1e-8 of its integral
             assert prev - 1e-10 <= val <= psi * (1.0 + 1e-12)
             prev = val
         assert val == pytest.approx(psi, rel=1e-12)

@@ -48,9 +48,9 @@ def test_log_scaled_handles_huge_offsets():
 
 
 def test_log_scaled_all_underflow():
-    assert integrate_log_scaled(lambda y: -math.inf, 0.0, 1.0) == -math.inf
+    assert integrate_log_scaled(lambda y: -math.inf, 0.0, 1.0, 1e-10) == -math.inf
     # finite only at a scan point, where no Kronrod node falls: zero mass
-    assert integrate_log_scaled(lambda y: 0.0 if y == 0.0 else -math.inf, 0.0, 1.0) == -math.inf
+    assert integrate_log_scaled(lambda y: 0.0 if y == 0.0 else -math.inf, 0.0, 1.0, 1e-10) == -math.inf
 
 
 def test_gauss_kronrod_polynomial_in_one_rule():
@@ -69,8 +69,8 @@ def test_gauss_kronrod_sine_and_empty_interval():
     assert gauss_kronrod(math.sin, (0, math.pi), 1e-12) == pytest.approx(2.0, abs=1e-12)
     assert gauss_kronrod(lambda x: 1.0, (2.0, 2.0), 1e-8) == 0.0
     # the log-space entry point maps an empty or reversed interval to log 0
-    assert integrate_log_scaled(lambda y: 0.0, 2.0, 2.0) == -math.inf
-    assert integrate_log_scaled(lambda y: 0.0, 3.0, 2.0) == -math.inf
+    assert integrate_log_scaled(lambda y: 0.0, 2.0, 2.0, 1e-10) == -math.inf
+    assert integrate_log_scaled(lambda y: 0.0, 3.0, 2.0, 1e-10) == -math.inf
 
 
 def test_gauss_kronrod_never_evaluates_the_ends():
@@ -110,7 +110,7 @@ def test_log_scaled_unreachable_tolerance_raises_after_bounded_work():
 def test_log_scaled_peak_at_the_end_of_a_long_interval(rate):
     # all the mass lies within a few 1/rate of y = 0, far inside the first
     # scan panel: a single rule over [0, 1e4] sees only underflow
-    total = integrate_log_scaled(lambda y: -rate * y, 0.0, 1e4)
+    total = integrate_log_scaled(lambda y: -rate * y, 0.0, 1e4, 1e-10)
     assert math.exp(total) == pytest.approx(1.0 / rate, rel=1e-10, abs=0)
 
 
@@ -120,7 +120,7 @@ def test_log_scaled_peak_beyond_the_halvings(drop):
     # of the scan spacing 1: the Kronrod node nearest the peak, 0.0043 d
     # from it, still samples it, and bisection resolves the peak
     rate = drop * 2.0**52
-    total = integrate_log_scaled(lambda y: -rate * y, 0.0, 32.0)
+    total = integrate_log_scaled(lambda y: -rate * y, 0.0, 32.0, 1e-10)
     assert total == pytest.approx(-math.log(rate), rel=1e-12)
 
 
@@ -128,7 +128,7 @@ def test_log_scaled_peak_beyond_the_nearest_node_raises():
     # the same spike falling 1e6 by y = d underflows at that node too
     rate = 1.0e6 * 2.0**52
     with pytest.raises(QuadratureError, match="halvings"):
-        integrate_log_scaled(lambda y: -rate * y, 0.0, 32.0)
+        integrate_log_scaled(lambda y: -rate * y, 0.0, 32.0, 1e-10)
 
 
 def test_log_scaled_peak_beyond_the_halvings_on_both_sides():
@@ -138,7 +138,7 @@ def test_log_scaled_peak_beyond_the_halvings_on_both_sides():
     # the mass would be lost
     s = 1.6e5 * 2.0**52
     try:
-        total = integrate_log_scaled(lambda y: -s * abs(y), -16.0, 16.0)
+        total = integrate_log_scaled(lambda y: -s * abs(y), -16.0, 16.0, 1e-10)
     except QuadratureError:
         return
     assert total == pytest.approx(math.log(2.0 / s), rel=1e-12)
@@ -146,7 +146,7 @@ def test_log_scaled_peak_beyond_the_halvings_on_both_sides():
 
 def test_log_scaled_narrow_interior_peak_on_a_scan_point():
     # a two-sided exponential spike of width 1e-3 at scan point 16 of 32
-    total = integrate_log_scaled(lambda y: 50.0 - 1e3 * abs(y - 5e3), 0.0, 1e4)
+    total = integrate_log_scaled(lambda y: 50.0 - 1e3 * abs(y - 5e3), 0.0, 1e4, 1e-10)
     assert abs(total - (50.0 + math.log(2e-3))) <= 1e-10
 
 
@@ -154,4 +154,4 @@ def test_log_scaled_missed_peak_raises():
     # a spike far narrower than the scan spacing, 2000 above the scanned max
     log_f = lambda y: 2000.0 * math.exp(-(((y - 0.3) / 1e-3) ** 2))
     with pytest.raises(QuadratureError, match="missed a peak"):
-        integrate_log_scaled(log_f, 0.0, 1.0)
+        integrate_log_scaled(log_f, 0.0, 1.0, 1e-10)
