@@ -10,9 +10,7 @@ without defaults, into a value type, as ``@dataclass(frozen=True)`` did:
 * assigning or deleting an attribute raises ``AttributeError``.
 
 Pickle and copy need nothing more: they rebuild the instance dict
-directly, without ``__setattr__`` or ``__init__``.  A default of
-``fresh(factory)`` calls ``factory()`` for each new record, so records
-never share a mutable default.
+directly, without ``__setattr__`` or ``__init__``.
 
 The instance dict holds exactly the fields, in declaration order, and
 ``==``, ``hash`` and ``repr``, shared by every record, read it.
@@ -21,13 +19,6 @@ when every field is given positionally.  Nothing is compiled at import.
 """
 
 _set = object.__setattr__
-
-
-class fresh:
-    """A field default made anew by ``factory()`` for each record."""
-
-    def __init__(self, factory):
-        self.factory = factory
 
 
 def _bind(cls, names, defaults, args, kwargs):
@@ -39,8 +30,7 @@ def _bind(cls, names, defaults, args, kwargs):
         if name in kwargs:
             values.append(kwargs.pop(name))
         elif name in defaults:
-            default = defaults[name]
-            values.append(default.factory() if isinstance(default, fresh) else default)
+            values.append(defaults[name])
         else:
             raise TypeError(f"{cls.__name__} missing argument {name!r}")
     for name in kwargs:

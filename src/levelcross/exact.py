@@ -133,7 +133,9 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | No
     e0 = -((math.sqrt(m.mu) - math.sqrt(beta)) ** 2) * span - (m.mu - r) * w
     # B, as e^{-(mu - beta) w} (1 - e^{-beta w}) for beta < mu
     b = math.exp(-max(m.mu - beta, 0.0) * w) * -math.expm1(-min(beta, m.mu) * w)
-    if not b > 0.0:
+    if b == 0.0:
+        return 0.0  # the value at every horizon is at most B
+    if not b > 0.0:  # NaN
         return None
     log_env = e0 + math.log(rw) - 0.5 * math.log(0.5 * math.pi * a)
     # Env <= B/2 compared in logs, where 0.5 * B underflows at the least
@@ -160,6 +162,8 @@ def _bessel_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: flo
     b = q.v + q.u / q.c
     rate_sum = m.mu * q.c + m.lam
     prod = m.lam * m.mu * q.c
+    if not 0.0 < prod < math.inf:
+        raise QuadratureError(f"lam * mu * c = {prod:g} lies outside the float range")
     half_log_prod = 0.5 * math.log(prod)
 
     def log_integrand(y: float) -> float:
@@ -257,6 +261,9 @@ def unconditional_exp_first_renewal(m: ExpExpModel, u: float, c: float, t: float
         return m.lam / (c * m.mu) * math.exp(-excess * u) if excess > 0.0 else 1.0
     log_lam = math.log(m.lam)
     prod = m.lam * m.mu
+    # an underflowed product reads as s = 0, where the density is about lam
+    if prod == math.inf and t > 0.0:
+        raise QuadratureError(f"lam * mu = {prod:g} lies outside the float range")
 
     def log_density(s: float) -> float:
         level = u + c * s

@@ -18,7 +18,7 @@ import threading
 import warnings
 from collections.abc import Callable
 
-from ._record import fresh, record
+from ._record import record
 from .approx import CrossingQuery, corrected_expansion, main_term
 from .distributions import Distribution, Exponential
 from .errors import LevelCrossError, MomentUndefinedError
@@ -102,7 +102,7 @@ class SweepResult:
 
     var: str
     methods: tuple[str, ...]
-    rows: list[tuple[float, dict[str, float | SimEstimate]]] = fresh(list)
+    rows: list[tuple[float, dict[str, float | SimEstimate]]]
 
     def header(self) -> list[str]:
         cols = ["x", *self.methods]
@@ -164,11 +164,12 @@ def evaluate_sweep(
 
     Simulation nodes run in forked worker processes, one per available
     CPU (see :func:`_worker_count`), largest index first, while this
-    process evaluates the other methods.  The result, and the first
-    exception raised, are those of evaluating the nodes one by one in this
-    process, except that ``trials < 1`` with ``sim`` raises before any
-    node's analytic error: a node's estimate depends only on (seed, node
-    index), and any node a worker leaves out is evaluated here.
+    process evaluates the other methods; each worker stores a node's
+    success count in a shared result array (see :func:`_start_workers`).
+    The result, and the first exception raised, are those of evaluating
+    the nodes one by one here, except that ``trials < 1`` with ``sim``
+    raises before any node's analytic error: a node's estimate depends
+    only on (seed, node index), and any node left out is evaluated here.
     """
     for m in methods:
         if m not in _METHODS:
@@ -213,10 +214,11 @@ def evaluate_sweep(
     ahead: dict[tuple[int, str], float | SimEstimate] = {}
     count = _worker_count(t_dist, y_dist, len(nodes)) if "sim" in methods else 0
     if count:
-        workers: list[tuple[int, int]] = []
+        workers: list[int] = []
+        slots = ()
         failed = True
         try:
-            _start_workers(
+            slots = _start_workers(
                 workers, count, len(nodes), lambda i: compute(i, query_at(nodes[i]), "sim")
             )
             for i, x in enumerate(nodes):
@@ -231,16 +233,18 @@ def evaluate_sweep(
             # one-by-one loop would, after the same nodes
             pass
         finally:
-            for i, successes in _collect(workers, kill=failed).items():
-                seed_i = substream_seed(seed, i)
-                ahead[i, "sim"] = SimEstimate.from_counts(successes, trials, seed_i)
+            _reap(workers, kill=failed)
+        # a slot holds 1 + successes once its node is simulated, 0 before
+        for i, slot in enumerate(slots):
+            if slot:
+                ahead[i, "sim"] = SimEstimate.from_counts(slot - 1, trials, substream_seed(seed, i))
 
-    result = SweepResult(var=var, methods=tuple(methods))
+    rows = []
     for i, x in enumerate(nodes):
         query = query_at(x)
         values = {m: ahead[i, m] if (i, m) in ahead else compute(i, query, m) for m in methods}
-        result.rows.append((x, values))
-    return result
+        rows.append((x, values))
+    return SweepResult(var, tuple(methods), rows)
 
 
 def _cpu_count() -> int:
@@ -265,46 +269,34 @@ def _worker_count(t_dist: Distribution, y_dist: Distribution, nodes: int) -> int
 
 
 def _start_workers(
-    workers: list[tuple[int, int]], count: int, nodes: int, simulate: Callable[[int], SimEstimate]
-) -> None:
-    """Fork ``count`` workers, appending (pid, read end of its pipe) to
-    ``workers`` as each starts, then queue the node indices for them in
-    one shared pipe, largest first: a node's cost grows along the grid, so
-    the costly nodes start first and the cheap ones fill in behind them.
-    A worker claims indices until the queue is empty or a node raises,
-    then writes the line ``i successes`` for each node it simulated."""
+    workers: list[int], count: int, nodes: int, simulate: Callable[[int], SimEstimate]
+) -> memoryview:
+    """Fork ``count`` workers, appending each pid to ``workers``, and
+    return their result slots: one 8-byte integer per node, in a zero-filled
+    anonymous mapping shared with the workers.  The node indices are queued
+    in one shared pipe, largest first: a node's cost grows along the grid,
+    so the costly nodes start first and the cheap ones fill in behind them.
+    A worker claims indices until the queue is empty or a node raises, and
+    stores ``1 + successes`` in slot i as soon as node i is simulated."""
+    import mmap  # only a forked sweep needs it
+
+    slots = memoryview(mmap.mmap(-1, 8 * nodes)).cast("q")
     queue_r, queue_w = os.pipe()
     try:
         try:
             for _ in range(count):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
+                pid = os.fork()
                 if pid == 0:
                     # os._exit: the worker never returns into the caller's
                     # frames and never flushes the stdio buffers it inherited
-                    status, lines = 1, bytearray()
                     try:
-                        os.close(r)
                         os.close(queue_w)  # the queue ends when the parent closes it
                         while record := os.read(queue_r, 4):
                             i = int.from_bytes(record, "big")
-                            lines += b"%d %d\n" % (i, simulate(i).successes)
-                        status = 0
+                            slots[i] = 1 + simulate(i).successes
                     finally:
-                        # sent after leaving the queue: sent one by one, lines could
-                        # fill this pipe while the parent waits on a full queue
-                        try:
-                            os.close(queue_r)
-                            os.write(w, lines)
-                        finally:
-                            os._exit(status)
-                os.close(w)
-                workers.append((pid, r))
+                        os._exit(0)
+                workers.append(pid)
         finally:
             os.close(queue_r)  # with every worker gone, a write below raises
         # writes of at most PIPE_BUF (>= 512) bytes are atomic: no read splits a record
@@ -313,31 +305,19 @@ def _start_workers(
             queue = queue[os.write(queue_w, queue[:512]) :]
     finally:
         os.close(queue_w)
+    return slots
 
 
-def _collect(workers: list[tuple[int, int]], kill: bool) -> dict[int, int]:
-    """Successes per node, read from every worker's pipe to its end; with
-    ``kill``, the workers are stopped instead and nothing is read.  Every
-    worker is reaped, whatever is raised."""
-    counts = {}
-    try:
-        if kill:
-            import signal  # only this rare path needs it
+def _reap(workers: list[int], kill: bool) -> None:
+    """Wait for every worker to exit; with ``kill``, stop them first (a
+    worker not yet waited for takes the signal even once it has exited)."""
+    if kill:
+        import signal  # only this rare path needs it
 
-            for pid, _ in workers:
-                os.kill(pid, signal.SIGKILL)
-        else:
-            for _, fd in workers:
-                with open(fd, "rb", closefd=False) as pipe:
-                    # a dead worker leaves out nodes; a part line lacks "\n"
-                    for line in pipe.read().split(b"\n")[:-1]:
-                        i, successes = map(int, line.split())
-                        counts[i] = successes
-    finally:
-        for pid, fd in workers:
-            os.close(fd)
-            os.waitpid(pid, 0)
-    return counts
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+    for pid in workers:
+        os.waitpid(pid, 0)
 
 
 def sweep_c(

@@ -27,8 +27,9 @@ def set_cpus(monkeypatch):
     start = sweep._start_workers
 
     def spy(workers, *args):
-        start(workers, *args)
+        slots = start(workers, *args)
         forked.append(len(workers))
+        return slots
 
     monkeypatch.setattr(sweep, "_start_workers", spy)
 

@@ -307,9 +307,16 @@ class TestRouter:
     @pytest.mark.parametrize("t", [100.0, 1e4, math.inf])
     def test_least_subnormal_b(self, t):
         # B is 5e-324 for u in [1488.07, 1490.26] at c = 2, where 0.5 * B
-        # underflows; the Env <= B/2 rule took log(0) and raised ValueError
-        for k in range(148807, 149027):
+        # underflows; the Env <= B/2 rule took log(0) and raised ValueError.
+        # Beyond that B is 0, and at t = inf the Bessel route overflowed
+        for k in range(148807, 150000):
             assert 0.0 <= exact_conditional(UNIT, CrossingQuery(k / 100, 2.0, 0.0, t)) <= 1e-320
+
+    def test_underflowed_bessel_rate_raises(self):
+        # lam * mu * c underflows to 0; log of it raised a bare ValueError
+        q = CrossingQuery(296.0, 1.09e-49, 9.6e23, 2.4e32)
+        with pytest.raises(QuadratureError, match="outside the float range"):
+            exact_conditional(ExpExpModel(9.1e-182, 4.2e-157), q)
 
 
 class TestSeriesOracle:
@@ -489,6 +496,11 @@ class TestUnconditional:
             unconditional_exp_first_renewal(UNIT, math.inf, 1.0, 10.0)
         with pytest.raises(ValueError, match="drift rate c must be finite and > 0"):
             unconditional_exp_first_renewal(UNIT, 10.0, math.inf, 10.0)
+
+    def test_overflowed_rate_product_raises(self):
+        # lam * mu overflows; the density's I_1 term raised a bare ValueError
+        with pytest.raises(QuadratureError, match="outside the float range"):
+            unconditional_exp_first_renewal(ExpExpModel(3.9e170, 8.3e191), 5e-100, 2.5e9, 1.2e6)
 
     def test_horizon_edges(self):
         # a NaN horizon is an error, not a silent 0.0

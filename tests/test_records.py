@@ -49,7 +49,7 @@ CASES = [
      None),
     (SweepGrid, (0.5, 2.0, 0.5), (0.5, 2.0, 0.25),
      "SweepGrid(c_min=0.5, c_max=2.0, delta_c=0.5, refinements=())", [(0.5, 2.0, 0.0)]),
-    (SweepResult, ("c", ("main",)), ("t", ("main",)),
+    (SweepResult, ("c", ("main",), []), ("t", ("main",), []),
      "SweepResult(var='c', methods=('main',), rows=[])", None),
 ]
 
@@ -111,7 +111,7 @@ def test_fields_cannot_be_rebound_or_deleted(case):
 
 
 def test_sweep_result_fields_cannot_be_rebound():
-    result = SweepResult("c", ("main",))
+    result = SweepResult("c", ("main",), [])
     with pytest.raises(AttributeError):
         result.rows = []
     with pytest.raises(AttributeError):
@@ -180,13 +180,8 @@ def test_defaults():
     assert CrossingQuery(10.0, 1.0) == CrossingQuery(10.0, 1.0, 0.0, math.inf)
     assert CrossingQuery(10.0, 1.0, t=5.0) == CrossingQuery(u=10.0, c=1.0, v=0.0, t=5.0)
     assert SweepGrid(0.5, 2.0, 0.5).refinements == ()
-    assert SweepResult("c", ("main",)).rows == []
-
-
-def test_each_sweep_result_gets_its_own_rows():
-    first, second = SweepResult("c", ("main",)), SweepResult("c", ("main",))
-    first.rows.append((1.0, {"main": 0.5}))
-    assert second.rows == [] and first.rows is not second.rows
+    with pytest.raises(TypeError, match="missing argument 'rows'"):
+        SweepResult("c", ("main",))
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[4] is not None], ids=ids)

@@ -413,10 +413,12 @@ class TestForkedNodes:
     def test_dead_worker_nodes_evaluated_here(self, set_cpus, monkeypatch):
         set_cpus(1)
         serial = self.sweep()
-        real, parent = sweep_module.simulate_conditional, os.getpid()
+        real, parent, here = sweep_module.simulate_conditional, os.getpid(), []
 
         def dying(t_dist, y_dist, u, c, *args):
-            if c == 1.0 and os.getpid() != parent:
+            if os.getpid() == parent:
+                here.append(c)
+            elif c == 1.0:
                 os._exit(3)  # the worker that claims node 2 dies; the other goes on
             return real(t_dist, y_dist, u, c, *args)
 
@@ -424,6 +426,8 @@ class TestForkedNodes:
         forked = set_cpus(2)
         assert self.sweep().rows == serial.rows
         assert forked == [2]
+        # the nodes the dead worker finished before node 2 were reported
+        assert here == [1.0]
 
     def test_analytic_failure_stops_workers(self, set_cpus, monkeypatch):
         real_main, real_sim = sweep_module.main_term, sweep_module.simulate_conditional
@@ -511,10 +515,9 @@ class TestForkedNodes:
         assert sorted(claims.values()) == [list(range(last - 1, -1, -1)), [last]]
 
     def test_queue_larger_than_a_pipe(self, set_cpus, monkeypatch):
-        # 100,000 nodes: the queue (400 kB) and each worker's results
-        # outgrow a 64 KiB pipe.  Every node is reported by a worker, and
-        # every write to the queue is atomic: at most PIPE_BUF = 512 bytes,
-        # whole 4-byte records.
+        # 100,000 nodes: the queue (400 kB) outgrows a 64 KiB pipe.  Every
+        # node is reported by a worker, and every write to the queue is
+        # atomic: at most PIPE_BUF = 512 bytes, whole 4-byte records.
         grid = SweepGrid(1.0, 100_000.0, 1.0)
         parent, here, writes = os.getpid(), [], []
         real_write = os.write
