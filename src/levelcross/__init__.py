@@ -8,8 +8,8 @@ u > 0, three independent ways:
 * closed-form approximations (inverse-Gaussian main term and a corrected
   expansion with two skewness corrections) valid for light and heavy
   tails alike -- :mod:`levelcross.approx`, :mod:`levelcross.moments`;
-* an exact Bessel-function formula when both T and Y are exponential --
-  :mod:`levelcross.exact`;
+* exact values when both T and Y are exponential, from the classical
+  theta-integral or a Bessel-function integral -- :mod:`levelcross.exact`;
 * a reproducible Monte Carlo simulator driven by an explicit 32-bit
   linear congruential generator -- :mod:`levelcross.sim`.
 
@@ -22,9 +22,7 @@ from .approx import (
     ApproxResult,
     CrossingQuery,
     corrected_expansion,
-    first_correction,
     main_term,
-    second_correction,
 )
 from .distributions import (
     Distribution,
@@ -72,9 +70,7 @@ __all__ = [
     "ApproxResult",
     "CrossingQuery",
     "corrected_expansion",
-    "first_correction",
     "main_term",
-    "second_correction",
     "Distribution",
     "Erlang",
     "Exponential",

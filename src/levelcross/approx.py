@@ -11,7 +11,9 @@ Each of the three integrals is a difference F(x1) - F(1) of endpoint
 functions, x1 = c(t-v)/(u+cv) + 1, built from the same three quantities:
 a standard normal cdf, a product exp(A) * Phi(-B) and a Gaussian kernel.
 One pass evaluates them once at each endpoint and forms all three
-differences; each public function checks the one it returns.
+differences: ``main_term`` checks the main term, ``corrected_expansion``
+all three, and its fields ``correction_f`` and ``correction_s`` are the
+two corrections.
 
 Every product of the shape exp(huge) * Phi(-huge) is evaluated as
 exp(A + log Phi(-B)); the plain product overflows long before the result
@@ -32,8 +34,6 @@ __all__ = [
     "CrossingQuery",
     "ApproxResult",
     "main_term",
-    "first_correction",
-    "second_correction",
     "corrected_expansion",
 ]
 
@@ -149,16 +149,6 @@ def _checked(value: float, c: float, lo: float = -_LARGEST, hi: float = _LARGEST
 def main_term(q: CrossingQuery, k: ModelConstants) -> float:
     """Inverse-Gaussian-type main approximation of the crossing probability."""
     return _checked(_closed_forms(q, k)[0], q.c, -_RANGE_SLACK, 1.0 + _RANGE_SLACK)
-
-
-def first_correction(q: CrossingQuery, k: ModelConstants) -> float:
-    """First correction integral; O(1/(u+cv)) and usually negative."""
-    return _checked(_closed_forms(q, k)[1], q.c)
-
-
-def second_correction(q: CrossingQuery, k: ModelConstants) -> float:
-    """Second correction integral; O(1/(u+cv)) like the first."""
-    return _checked(_closed_forms(q, k)[2], q.c)
 
 
 def corrected_expansion(q: CrossingQuery, k: ModelConstants) -> ApproxResult:

@@ -1,9 +1,8 @@
 """Command-line front end: constants, point evaluations, and grid sweeps.
 
 Sweeps run through :func:`levelcross.sweep.evaluate_sweep`; that module
-documents the CSV format and the per-node seeding rule.  When ``--seed``
-is not given, the environment variable ``FPT_SEED`` overrides the
-built-in default master seed.
+documents the CSV format and the per-node seeding rule.  ``--seed``
+defaults to the master seed ``DEFAULT_SEED``.
 """
 
 import argparse
@@ -44,16 +43,6 @@ def _pair(args: argparse.Namespace, expansion: bool) -> tuple[Distribution, Dist
     command evaluates the expansion or its constants."""
     parse = parse_dist_spec if expansion else parse_spec
     return parse(args.t), parse(args.y)
-
-
-def _seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get("FPT_SEED", str(DEFAULT_SEED))
-    try:
-        return int(text)
-    except ValueError:
-        raise LevelCrossError(f"FPT_SEED must be an integer, got {text!r}") from None
 
 
 def _print_constants(t_dist: Distribution, y_dist: Distribution, k: ModelConstants | None) -> None:
@@ -107,10 +96,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seed = _seed(args)
     t_dist, y_dist = _pair(args, expansion=False)
     horizon = sim_horizon(args.horizon, args.inf_cap)
-    est = simulate_conditional(t_dist, y_dist, args.u, args.c, args.v, horizon, args.trials, seed)
+    est = simulate_conditional(
+        t_dist, y_dist, args.u, args.c, args.v, horizon, args.trials, args.seed
+    )
     print(f"estimate = {_fmt(est.estimate)}")
     print(f"ci_low = {_fmt(est.ci_low)}")
     print(f"ci_high = {_fmt(est.ci_high)}")
@@ -120,13 +110,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seed = _seed(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     t_dist, y_dist = _pair(args, expansion=not {"main", "corrected"}.isdisjoint(methods))
     result = evaluate_sweep(
         t_dist, y_dist, SweepGrid(args.min, args.max, args.step), methods,
         u=args.u, v=args.v, var=args.var, c=args.c, horizon=args.horizon,
-        inf_cap=args.inf_cap, trials=args.trials, seed=seed,
+        inf_cap=args.inf_cap, trials=args.trials, seed=args.seed,
     )
     try:
         k = constants_for(t_dist, y_dist)
@@ -200,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_point(p)
     p.add_argument("--c", type=float, required=True, help="drift rate (> 0)")
     p.add_argument("--trials", type=int, default=1000, help="trajectories (default 1000)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: FPT_SEED env or 20170101)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"master seed (default {DEFAULT_SEED})")
     p.add_argument("--inf-cap", type=float, default=None, dest="inf_cap",
                    help="horizon substituted when --horizon inf (e.g. 1e4)")
 
@@ -216,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="main", metavar="LIST",
                    help="comma list from: main, corrected, exact, sim")
     p.add_argument("--trials", type=int, default=1000, help="trajectories per node")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: FPT_SEED env or 20170101)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"master seed (default {DEFAULT_SEED})")
     p.add_argument("--inf-cap", type=float, default=None, dest="inf_cap",
                    help="horizon substituted for sim when --horizon inf")
     p.add_argument("--out", default=None, metavar="CSV", help="CSV output path")

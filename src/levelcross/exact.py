@@ -135,7 +135,7 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | No
     b = math.exp(-max(m.mu - beta, 0.0) * w) * -math.expm1(-min(beta, m.mu) * w)
     if b == 0.0:
         return 0.0  # the value at every horizon is at most B
-    if not b > 0.0:  # NaN
+    if not (b > 0.0 and rw > 0.0):  # a NaN B, or r underflowed to 0
         return None
     log_env = e0 + math.log(rw) - 0.5 * math.log(0.5 * math.pi * a)
     # Env <= B/2 compared in logs, where 0.5 * B underflows at the least
@@ -171,6 +171,8 @@ def _bessel_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: flo
             # I_1(z) ~ z/2 as z -> 0 makes the integrand -> sqrt(lam mu c)
             return half_log_prod
         z = 2.0 * math.sqrt(prod * (y + b) * y)
+        if z == 0.0:  # underflowed: the same limit, times e^{-(mu c + lam) y}
+            return half_log_prod - rate_sum * y
         return log_bessel_i1(z) - rate_sum * y - 0.5 * (math.log(y + b) + math.log(y))
 
     log_pref = half_log_prod + math.log(b) - m.mu * (q.u + q.c * q.v)

@@ -7,6 +7,8 @@ K_F = kf_coeff/c and K_S = ks_coeff/c.  ``model_constants_generic`` is the
 defining computation.
 """
 
+import math
+
 from ._record import record
 from .distributions import Distribution, MomentSet
 from .errors import MomentUndefinedError
@@ -49,5 +51,15 @@ def model_constants_generic(t: MomentSet, y: MomentSet) -> ModelConstants:
 
 
 def constants_for(t_dist: Distribution, y_dist: Distribution) -> ModelConstants:
-    """Constants for a distribution pair via the generic moment formulas."""
-    return model_constants_generic(t_dist.moments(), y_dist.moments())
+    """Constants for a distribution pair via the generic moment formulas;
+    MomentUndefinedError where they leave the float range."""
+    try:
+        k = model_constants_generic(t_dist.moments(), y_dist.moments())
+    except ArithmeticError:  # a ZeroDivisionError or OverflowError
+        k = None
+    if k is None or not all(map(math.isfinite, vars(k).values())):
+        raise MomentUndefinedError(
+            f"the moments of T = {t_dist.spec_string()}, Y = {y_dist.spec_string()} "
+            "leave the float range"
+        )
+    return k

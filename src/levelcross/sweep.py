@@ -162,14 +162,15 @@ def evaluate_sweep(
     horizon at drift rate ``c``, keeping only the nodes after ``v``.  The
     keywords are the ``levelcross sweep`` options of the same names.
 
-    Simulation nodes run in forked worker processes, one per available
-    CPU (see :func:`_worker_count`), largest index first, while this
-    process evaluates the other methods; each worker stores a node's
-    success count in a shared result array (see :func:`_start_workers`).
-    The result, and the first exception raised, are those of evaluating
-    the nodes one by one here, except that ``trials < 1`` with ``sim``
-    raises before any node's analytic error: a node's estimate depends
-    only on (seed, node index), and any node left out is evaluated here.
+    Every other method is evaluated first, node by node in this process.
+    Only once all of them have succeeded are the simulation nodes run, in
+    forked worker processes, one per available CPU (see
+    :func:`_worker_count` and :func:`_simulate_forked`); a node's estimate
+    depends only on (seed, node index), and any node no worker reported is
+    simulated here.  The result is that of evaluating the nodes one by one
+    here, and the first exception raised is that of evaluating the other
+    methods node by node and then the simulations, except that
+    ``trials < 1`` with ``sim`` raises before any node is evaluated.
     """
     for m in methods:
         if m not in _METHODS:
@@ -193,57 +194,34 @@ def evaluate_sweep(
         nodes = [x for x in nodes if x > v]
         if not nodes:
             raise LevelCrossError("no t nodes exceed v")
+    queries = [
+        CrossingQuery(u, x, v, horizon) if var == "c" else CrossingQuery(u, c, v, x) for x in nodes
+    ]
 
-    def query_at(x: float) -> CrossingQuery:
-        node_c, node_t = (x, horizon) if var == "c" else (c, x)
-        return CrossingQuery(u, node_c, v, node_t)
-
-    def compute(i: int, query: CrossingQuery, m: str) -> float | SimEstimate:
+    def analytic(query: CrossingQuery, m: str) -> float:
         if m == "main":
             return main_term(query, constants)
         if m == "corrected":
             return corrected_expansion(query, constants).corrected
-        if m == "exact":
-            return exact_conditional(model, query)
+        return exact_conditional(model, query)
+
+    def simulate(i: int) -> SimEstimate:
+        query = queries[i]
         node_sim_t = sim_t if var == "c" else query.t
         return simulate_conditional(
             t_dist, y_dist, u, query.c, v, node_sim_t, trials, substream_seed(seed, i)
         )
 
-    # values computed ahead of the in-order pass below, keyed by (node, method)
-    ahead: dict[tuple[int, str], float | SimEstimate] = {}
-    count = _worker_count(t_dist, y_dist, len(nodes)) if "sim" in methods else 0
-    if count:
-        workers: list[int] = []
-        slots = ()
-        failed = True
-        try:
-            slots = _start_workers(
-                workers, count, len(nodes), lambda i: compute(i, query_at(nodes[i]), "sim")
-            )
-            for i, x in enumerate(nodes):
-                query = query_at(x)
-                for m in methods:
-                    if m != "sim":
-                        ahead[i, m] = compute(i, query, m)
-            failed = False
-        except Exception:
-            # work done ahead only saves time: the in-order pass below
-            # evaluates what failed again, so it raises exactly where the
-            # one-by-one loop would, after the same nodes
-            pass
-        finally:
-            _reap(workers, kill=failed)
-        # a slot holds 1 + successes once its node is simulated, 0 before
+    values = [{m: analytic(q, m) for m in methods if m != "sim"} for q in queries]
+    if "sim" in methods:
+        count = _worker_count(t_dist, y_dist, len(nodes))
+        slots = _simulate_forked(count, len(nodes), simulate) if count else [0] * len(nodes)
+        # a slot holds 1 + successes once a worker simulated its node, 0 otherwise
         for i, slot in enumerate(slots):
-            if slot:
-                ahead[i, "sim"] = SimEstimate.from_counts(slot - 1, trials, substream_seed(seed, i))
-
-    rows = []
-    for i, x in enumerate(nodes):
-        query = query_at(x)
-        values = {m: ahead[i, m] if (i, m) in ahead else compute(i, query, m) for m in methods}
-        rows.append((x, values))
+            node_seed = substream_seed(seed, i)
+            estimate = SimEstimate.from_counts(slot - 1, trials, node_seed) if slot else simulate(i)
+            values[i]["sim"] = estimate
+    rows = [(x, {m: node[m] for m in methods}) for x, node in zip(nodes, values)]
     return SweepResult(var, tuple(methods), rows)
 
 
@@ -268,56 +246,60 @@ def _worker_count(t_dist: Distribution, y_dist: Distribution, nodes: int) -> int
     return count if count >= 2 else 0
 
 
-def _start_workers(
-    workers: list[int], count: int, nodes: int, simulate: Callable[[int], SimEstimate]
-) -> memoryview:
-    """Fork ``count`` workers, appending each pid to ``workers``, and
-    return their result slots: one 8-byte integer per node, in a zero-filled
-    anonymous mapping shared with the workers.  The node indices are queued
-    in one shared pipe, largest first: a node's cost grows along the grid,
-    so the costly nodes start first and the cheap ones fill in behind them.
-    A worker claims indices until the queue is empty or a node raises, and
-    stores ``1 + successes`` in slot i as soon as node i is simulated."""
+def _simulate_forked(count: int, nodes: int, simulate: Callable[[int], SimEstimate]) -> memoryview:
+    """Simulate node indices 0 .. nodes - 1 in ``count`` forked workers and
+    return their result slots once every worker has exited: one 8-byte
+    integer per node, in a zero-filled anonymous mapping shared with the
+    workers.  The node indices are queued in one shared pipe, largest
+    first: a node's cost grows along the grid, so the costly nodes start
+    first and the cheap ones fill in behind them.  A worker claims indices
+    until the queue is empty or a node raises, and stores
+    ``1 + successes`` in slot i as soon as node i is simulated; a failed
+    fork or queue write leaves the unclaimed slots at 0.  An exception
+    here, such as a KeyboardInterrupt, kills the workers first."""
     import mmap  # only a forked sweep needs it
 
     slots = memoryview(mmap.mmap(-1, 8 * nodes)).cast("q")
+    workers = []
     queue_r, queue_w = os.pipe()
     try:
         try:
-            for _ in range(count):
-                pid = os.fork()
-                if pid == 0:
-                    # os._exit: the worker never returns into the caller's
-                    # frames and never flushes the stdio buffers it inherited
-                    try:
-                        os.close(queue_w)  # the queue ends when the parent closes it
-                        while record := os.read(queue_r, 4):
-                            i = int.from_bytes(record, "big")
-                            slots[i] = 1 + simulate(i).successes
-                    finally:
-                        os._exit(0)
-                workers.append(pid)
+            try:
+                for _ in range(count):
+                    pid = os.fork()
+                    if pid == 0:
+                        # os._exit: the worker never returns into the caller's
+                        # frames and never flushes the stdio buffers it inherited
+                        try:
+                            os.close(queue_w)  # the queue ends when the parent closes it
+                            while record := os.read(queue_r, 4):
+                                i = int.from_bytes(record, "big")
+                                slots[i] = 1 + simulate(i).successes
+                        finally:
+                            os._exit(0)
+                    workers.append(pid)
+            finally:
+                os.close(queue_r)  # with every worker gone, a write below raises
+            # writes of at most PIPE_BUF (>= 512) bytes are atomic: no read splits a record
+            queue = memoryview(b"".join(i.to_bytes(4, "big") for i in reversed(range(nodes))))
+            while queue:
+                queue = queue[os.write(queue_w, queue[:512]) :]
+        except OSError:
+            pass  # the nodes no worker claimed are simulated by the caller
         finally:
-            os.close(queue_r)  # with every worker gone, a write below raises
-        # writes of at most PIPE_BUF (>= 512) bytes are atomic: no read splits a record
-        queue = memoryview(b"".join(i.to_bytes(4, "big") for i in reversed(range(nodes))))
-        while queue:
-            queue = queue[os.write(queue_w, queue[:512]) :]
-    finally:
-        os.close(queue_w)
-    return slots
-
-
-def _reap(workers: list[int], kill: bool) -> None:
-    """Wait for every worker to exit; with ``kill``, stop them first (a
-    worker not yet waited for takes the signal even once it has exited)."""
-    if kill:
+            os.close(queue_w)
+        # a worker leaves the list once reaped, so no kill below reaches a reused pid
+        while workers:
+            os.waitpid(workers[-1], 0)
+            workers.pop()
+    except BaseException:
         import signal  # only this rare path needs it
 
         for pid in workers:
             os.kill(pid, signal.SIGKILL)
-    for pid in workers:
-        os.waitpid(pid, 0)
+            os.waitpid(pid, 0)
+        raise
+    return slots
 
 
 def sweep_c(

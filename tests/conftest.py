@@ -24,14 +24,14 @@ def set_cpus(monkeypatch):
     returns a list that records how many workers each later sweep forked.
     Afterwards, every forked worker must have been reaped."""
     forked = []
-    start = sweep._start_workers
+    simulate_forked = sweep._simulate_forked
 
-    def spy(workers, *args):
-        slots = start(workers, *args)
-        forked.append(len(workers))
+    def spy(count, *args):
+        slots = simulate_forked(count, *args)
+        forked.append(count)
         return slots
 
-    monkeypatch.setattr(sweep, "_start_workers", spy)
+    monkeypatch.setattr(sweep, "_simulate_forked", spy)
 
     def set_cpus(n):
         monkeypatch.setattr(sweep, "_cpu_count", lambda: n)

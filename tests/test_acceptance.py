@@ -40,7 +40,6 @@ from fractions import Fraction
 import pytest
 
 from levelcross.approx import CrossingQuery, corrected_expansion, main_term
-from levelcross.approx import first_correction, second_correction
 from levelcross.cli import main as cli_main
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.exact import ExpExpModel, exact_conditional, series_oracle
@@ -228,8 +227,8 @@ def test_criterion_3_closed_vs_oracle():
             )
             for kind, closed in (
                 ("main", main_term),
-                ("first", first_correction),
-                ("second", second_correction),
+                ("first", lambda q, k: corrected_expansion(q, k).correction_f),
+                ("second", lambda q, k: corrected_expansion(q, k).correction_s),
             ):
                 assert abs(closed(q, k) - integral_oracle(kind, q, k, tol=1e-8)) <= 1e-6
 

@@ -74,6 +74,15 @@ class TestConstantsCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec", ["erlang:1e-110,2", "exp:1e120"])
+    def test_moments_out_of_float_range_fail(self, spec, capsys):
+        # 1/r**3 divides by 0 for the Erlang law and overflows for the exponential
+        code, out, err = run_cli(["constants", "--t", spec, "--y", "exp:1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the moments of T = ")
+        assert err.endswith(", Y = exp:1 leave the float range\n")
+
 
 class TestPointCommands:
     def test_exact_requires_exponential_pair(self, capsys):
@@ -395,36 +404,16 @@ class TestNodeSeeding:
 
 
 class TestSeedResolution:
-    def test_env_seed_used_as_default(self, capsys, monkeypatch):
+    def test_env_seed_ignored(self, capsys, monkeypatch):
         argv = ["simulate", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1",
                 "--horizon", "50", "--trials", "100"]
+        _, out_default, _ = run_cli(argv, capsys)
         monkeypatch.setenv("FPT_SEED", "31415")
         _, out_env, _ = run_cli(argv, capsys)
-        monkeypatch.delenv("FPT_SEED")
-        _, out_explicit, _ = run_cli(argv + ["--seed", "31415"], capsys)
-        assert parse_kv(out_env) == parse_kv(out_explicit)
-
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--c", "1"],
-        ["sweep", "--min", "1", "--max", "1", "--step", "1", "--methods", "sim"],
-    ], ids=["simulate", "sweep"])
-    def test_non_integer_env_seed_is_an_error(self, argv, capsys, monkeypatch):
-        monkeypatch.setenv("FPT_SEED", "abc")
-        code, out, err = run_cli(
-            argv + ["--t", "exp:1", "--y", "exp:1", "--u", "1", "--horizon", "5",
-                    "--trials", "10"],
-            capsys,
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "error: FPT_SEED must be an integer, got 'abc'\n"
-
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        argv = ["simulate", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1",
-                "--horizon", "50", "--trials", "100", "--seed", "3"]
-        monkeypatch.setenv("FPT_SEED", "31415")
-        _, out, _ = run_cli(argv, capsys)
-        assert parse_kv(out)["seed"] == "3"
+        assert out_env == out_default
+        assert parse_kv(out_env)["seed"] == str(levelcross.DEFAULT_SEED)
+        _, out_explicit, _ = run_cli(argv + ["--seed", "3"], capsys)
+        assert parse_kv(out_explicit)["seed"] == "3"
 
 
 class TestEvaluateSweepApi:

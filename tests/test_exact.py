@@ -318,6 +318,20 @@ class TestRouter:
         with pytest.raises(QuadratureError, match="outside the float range"):
             exact_conditional(ExpExpModel(9.1e-182, 4.2e-157), q)
 
+    @pytest.mark.parametrize("m, q", [
+        # beta * mu underflows, so r = 0: the theta rule took log(0)
+        (ExpExpModel(1e-200, 1e-200), CrossingQuery(1.0, 1.0, 0.0, 10.0)),
+        (ExpExpModel(1e-200, 1e-200), CrossingQuery(1.0, 1.0, 0.0, 1e5)),
+        # the Bessel argument underflows to 0 at y > 0: log_bessel_i1(0) raised
+        (ExpExpModel(1.16e-144, 1.77e-175), CrossingQuery(6.57e5, 2491.0, 0.0, 7.5e-27)),
+    ])
+    def test_underflowed_rates_value_or_quadrature_error(self, m, q):
+        try:
+            value = exact_conditional(m, q)
+        except QuadratureError:
+            return
+        assert 0.0 <= value <= 1.0
+
 
 class TestSeriesOracle:
     def test_matches_exact_on_grid(self):

@@ -142,3 +142,8 @@ class TestInvariants:
         flat = MomentSet(mean=1.0, variance=0.0, central3=0.0)
         with pytest.raises(MomentUndefinedError):
             model_constants_generic(flat, flat)
+
+    def test_non_finite_constants_rejected(self):
+        # finite moments whose products overflow: D^2 read inf, K_F and K_S nan
+        with pytest.raises(MomentUndefinedError, match="float range"):
+            constants_for(Erlang(1.48028e-102, 5), Erlang(7.01289e-61, 5))

@@ -429,7 +429,7 @@ class TestForkedNodes:
         # the nodes the dead worker finished before node 2 were reported
         assert here == [1.0]
 
-    def test_analytic_failure_stops_workers(self, set_cpus, monkeypatch):
+    def test_analytic_failure_forks_no_worker(self, set_cpus, monkeypatch):
         real_main, real_sim = sweep_module.main_term, sweep_module.simulate_conditional
         parent = os.getpid()
 
@@ -440,7 +440,7 @@ class TestForkedNodes:
 
         def slow(*args):
             if os.getpid() != parent:
-                time.sleep(30)  # killed, not awaited
+                time.sleep(30)  # a worker forked before the analytic pass
             return real_sim(*args)
 
         monkeypatch.setattr(sweep_module, "main_term", failing)
@@ -450,7 +450,31 @@ class TestForkedNodes:
         with pytest.raises(ZeroDivisionError, match="c = 1"):
             self.sweep()
         assert time.monotonic() - start < 15
-        assert forked == [2]
+        assert forked == []
+
+    def test_interrupt_while_waiting_kills_workers(self, set_cpus, monkeypatch):
+        real_sim, real_waitpid = sweep_module.simulate_conditional, os.waitpid
+        parent, interrupted = os.getpid(), []
+
+        def slow(*args):
+            if os.getpid() != parent:
+                time.sleep(30)  # killed, not awaited
+            return real_sim(*args)
+
+        def interrupt_once(pid, options):
+            if not interrupted:
+                interrupted.append(pid)
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(sweep_module, "simulate_conditional", slow)
+        monkeypatch.setattr(os, "waitpid", interrupt_once)
+        set_cpus(2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.sweep(("sim",))
+        assert time.monotonic() - start < 15
+        assert len(interrupted) == 1  # the fixture checks that every worker was reaped
 
     def test_other_threads_keep_nodes_here(self, set_cpus):
         set_cpus(1)
