@@ -404,15 +404,19 @@ class TestNodeSeeding:
 
 
 class TestSeedResolution:
+    ARGV = ["simulate", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1",
+            "--horizon", "50", "--trials", "100"]
+
     def test_env_seed_ignored(self, capsys, monkeypatch):
-        argv = ["simulate", "--t", "exp:1", "--y", "exp:1", "--u", "10", "--c", "1",
-                "--horizon", "50", "--trials", "100"]
-        _, out_default, _ = run_cli(argv, capsys)
+        _, out_default, _ = run_cli(self.ARGV, capsys)
         monkeypatch.setenv("FPT_SEED", "31415")
-        _, out_env, _ = run_cli(argv, capsys)
+        _, out_env, _ = run_cli(self.ARGV, capsys)
         assert out_env == out_default
         assert parse_kv(out_env)["seed"] == str(levelcross.DEFAULT_SEED)
-        _, out_explicit, _ = run_cli(argv + ["--seed", "3"], capsys)
+
+    def test_explicit_seed_used_with_env_set(self, capsys, monkeypatch):
+        monkeypatch.setenv("FPT_SEED", "31415")
+        _, out_explicit, _ = run_cli(self.ARGV + ["--seed", "3"], capsys)
         assert parse_kv(out_explicit)["seed"] == "3"
 
 
