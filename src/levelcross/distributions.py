@@ -4,7 +4,10 @@ Four families are supported: Exponential, mixture of two Exponentials,
 Erlang, and Pareto (in the shifted form with density a*b/(x*b+1)^(a+1),
 which has support on all of x > 0).  Each provides the density, the
 distribution function, the quantile, closed-form central moments, and
-sampling from a caller-supplied uniform stream.
+sampling from a caller-supplied uniform stream.  A law's spec string is
+``<family>:<fields in declaration order>``, e.g. ``erlang:1.2,2``: each
+family class names its ``family``, and one ``spec_string``, one
+``parse_spec`` table and one finite-and-positive check serve all four.
 
 A stream is any object with a ``next_uniform() -> float in (0, 1)``
 method; :class:`levelcross.sim.LcgStream` is the deterministic one used
@@ -50,6 +53,13 @@ class MomentSet:
 class Distribution:
     """Common interface of the four families."""
 
+    family = None  # the spec name; a law without one has no spec string
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{type(self).__name__} {name} must be finite and > 0")
+
     def pdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -89,7 +99,9 @@ class Distribution:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        if self.family is None:
+            raise NotImplementedError
+        return f"{self.family}:" + ",".join(f"{value:g}" for value in vars(self).values())
 
     def sample(self, stream) -> float:
         """One draw of ``draw_kernel()``, taking its ``n`` uniforms from
@@ -103,11 +115,8 @@ class Distribution:
 
 @record
 class Exponential(Distribution):
+    family = "exp"
     rate: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rate < math.inf:
-            raise ValueError("Exponential rate must be finite and > 0")
 
     def pdf(self, x: float) -> float:
         if x <= 0.0:
@@ -127,14 +136,12 @@ class Exponential(Distribution):
         r = self.rate
         return MomentSet(1.0 / r, 1.0 / r**2, 2.0 / r**3)
 
-    def spec_string(self) -> str:
-        return f"exp:{self.rate:g}"
-
 
 @record
 class Mix2Exp(Distribution):
     """Mixture p*Exponential(rate1) + (1-p)*Exponential(rate2), rate1 < rate2."""
 
+    family = "mix2exp"
     rate1: float
     rate2: float
     p: float
@@ -212,20 +219,18 @@ class Mix2Exp(Distribution):
         )
         return MomentSet(mean, var, c3)
 
-    def spec_string(self) -> str:
-        return f"mix2exp:{self.rate1:g},{self.rate2:g},{self.p:g}"
-
 
 @record
 class Erlang(Distribution):
+    family = "erlang"
     rate: float
     shape: int
 
     def __post_init__(self):
-        if not 0.0 < self.rate < math.inf:
-            raise ValueError("Erlang rate must be finite and > 0")
-        if not (isinstance(self.shape, int) and 1 <= self.shape <= ERLANG_MAX_SHAPE):
+        # type() is int also rejects a bool, which isinstance would accept
+        if not (type(self.shape) is int and 1 <= self.shape <= ERLANG_MAX_SHAPE):
             raise ValueError(f"Erlang shape must be an integer in [1, {ERLANG_MAX_SHAPE}]")
+        super().__post_init__()
 
     def pdf(self, x: float) -> float:
         if x <= 0.0:
@@ -254,22 +259,14 @@ class Erlang(Distribution):
         # the sum of `shape` Exponential(rate) draws, added one by one
         return math.log1p, -self.rate, self.shape
 
-    def spec_string(self) -> str:
-        return f"erlang:{self.rate:g},{self.shape}"
-
 
 @record
 class Pareto(Distribution):
     """Density a*b/(x*b + 1)^(a+1) on x > 0; heavy-tailed with index a."""
 
+    family = "pareto"
     shape: float
     scale: float
-
-    def __post_init__(self):
-        if not 0.0 < self.shape < math.inf:
-            raise ValueError("Pareto shape must be finite and > 0")
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError("Pareto scale must be finite and > 0")
 
     def pdf(self, x: float) -> float:
         if x <= 0.0:
@@ -303,51 +300,38 @@ class Pareto(Distribution):
         c3 = 2.0 * a * (a + 1.0) / ((a - 1.0) ** 3 * (a - 2.0) * (a - 3.0) * b**3)
         return MomentSet(mean, var, c3)
 
-    def spec_string(self) -> str:
-        return f"pareto:{self.shape:g},{self.scale:g}"
 
-
-def _parse_floats(body: str, n: int, spec: str) -> list[float]:
-    parts = body.split(",")
-    if len(parts) != n:
-        raise SpecParseError(
-            f"{spec!r}: expected {n} comma-separated parameters, got {len(parts)}"
-        )
-    out = []
-    for token in parts:
-        try:
-            out.append(float(token))
-        except ValueError:
-            raise SpecParseError(f"{spec!r}: not a number: {token!r}") from None
-    return out
+_FAMILIES = {cls.family: cls for cls in (Exponential, Erlang, Pareto, Mix2Exp)}
 
 
 def parse_spec(spec: str) -> Distribution:
-    """Parse ``exp:<rate>``, ``erlang:<rate>,<k>``, ``pareto:<a>,<b>`` or
-    ``mix2exp:<rate1>,<rate2>,<p>`` into a distribution object."""
+    """Parse ``<family>:<fields in declaration order>``, e.g. ``exp:<rate>``,
+    ``erlang:<rate>,<shape>``, ``pareto:<shape>,<scale>`` or
+    ``mix2exp:<rate1>,<rate2>,<p>``, into a distribution object.  An
+    integral number becomes an ``int`` for an ``int`` field."""
     head, sep, body = spec.strip().partition(":")
     if not sep:
         raise SpecParseError(f"{spec!r}: expected '<family>:<params>'")
     family = head.strip().lower()
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        *others, last = _FAMILIES
+        raise SpecParseError(
+            f"{spec!r}: unknown family {family!r} (expected {', '.join(others)} or {last})"
+        )
+    kinds, tokens = cls.__annotations__.values(), body.split(",")
+    if len(tokens) != len(kinds):
+        raise SpecParseError(
+            f"{spec!r}: expected {len(kinds)} comma-separated parameters, got {len(tokens)}"
+        )
+    args = []
+    for token, kind in zip(tokens, kinds):
+        try:
+            value = float(token)
+        except ValueError:
+            raise SpecParseError(f"{spec!r}: not a number: {token!r}") from None
+        args.append(int(value) if kind is int and value.is_integer() else value)
     try:
-        if family == "exp":
-            (rate,) = _parse_floats(body, 1, spec)
-            return Exponential(rate)
-        if family == "erlang":
-            rate, k = _parse_floats(body, 2, spec)
-            if not k.is_integer():
-                raise SpecParseError(f"{spec!r}: Erlang shape must be an integer, got {k!r}")
-            return Erlang(rate, int(k))
-        if family == "pareto":
-            a, b = _parse_floats(body, 2, spec)
-            return Pareto(a, b)
-        if family == "mix2exp":
-            l1, l2, p = _parse_floats(body, 3, spec)
-            return Mix2Exp(l1, l2, p)
+        return cls(*args)
     except ValueError as exc:
-        if isinstance(exc, SpecParseError):
-            raise
         raise SpecParseError(f"{spec!r}: {exc}") from None
-    raise SpecParseError(
-        f"{spec!r}: unknown family {family!r} (expected exp, erlang, pareto or mix2exp)"
-    )

@@ -30,7 +30,8 @@ class ModelConstants:
 
 
 def model_constants_generic(t: MomentSet, y: MomentSet) -> ModelConstants:
-    """Constants from raw moment sets; this is the defining formula."""
+    """Constants from raw moment sets; this is the defining formula.
+    OverflowError where a constant leaves the float range."""
     et, dt, t3 = t.mean, t.variance, t.central3
     ey, dy, y3 = y.mean, y.variance, y.central3
     d2 = (et**2 * dy + ey**2 * dt) / ey**3
@@ -47,19 +48,19 @@ def model_constants_generic(t: MomentSet, y: MomentSet) -> ModelConstants:
         - et**3 * y3 / (6.0 * d2**2 * ey**4)
         + et * dy / (2.0 * d2 * ey**2)
     )
-    return ModelConstants(m, d2, 1.0 / m, kf, ks)
+    k = ModelConstants(m, d2, 1.0 / m, kf, ks)
+    if not all(map(math.isfinite, vars(k).values())):
+        raise OverflowError("the model constants leave the float range")
+    return k
 
 
 def constants_for(t_dist: Distribution, y_dist: Distribution) -> ModelConstants:
     """Constants for a distribution pair via the generic moment formulas;
     MomentUndefinedError where they leave the float range."""
     try:
-        k = model_constants_generic(t_dist.moments(), y_dist.moments())
+        return model_constants_generic(t_dist.moments(), y_dist.moments())
     except ArithmeticError:  # a ZeroDivisionError or OverflowError
-        k = None
-    if k is None or not all(map(math.isfinite, vars(k).values())):
         raise MomentUndefinedError(
             f"the moments of T = {t_dist.spec_string()}, Y = {y_dist.spec_string()} "
             "leave the float range"
-        )
-    return k
+        ) from None

@@ -128,6 +128,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials = {trials}], got {successes}")
     z2 = _Z975 * _Z975
     phat = successes / trials
     denom = 1.0 + z2 / trials

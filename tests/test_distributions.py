@@ -419,7 +419,62 @@ class TestSampling:
             assert abs(mean - m.mean) <= 4.0 * math.sqrt(m.variance / n)
 
 
+# a valid law of each family, whose fields the checks below replace
+FAMILY_LAWS = [Exponential(1.0), Erlang(1.2, 2), Pareto(4.0, 0.35), Mix2Exp(1.0, 2.0, 0.5)]
+
+# every float field of every family at each value that is not finite and > 0;
+# a Mix2Exp weight p = 0 is a valid law
+BAD_FIELDS = [
+    (law, name, bad)
+    for law in FAMILY_LAWS
+    for name, kind in type(law).__annotations__.items()
+    if kind is float
+    for bad in (0.0, -1.0, math.inf, math.nan)
+    if not (name == "p" and bad == 0.0)
+]
+
+
+def _with_field(law, name, value):
+    return {**vars(law), name: value}
+
+
 class TestSpecGrammar:
+    # spec_string() of the laws the demos and the benchmark use, recorded
+    # while each family printed its own spec
+    SPEC_GOLDENS = [
+        (Exponential(1.0), "exp:1"),
+        (Erlang(1.2, 2), "erlang:1.2,2"),
+        (Erlang(6.0, 4), "erlang:6,4"),
+        (Pareto(4.0, 0.35), "pareto:4,0.35"),
+        (Mix2Exp(1.0, 2.0, 2.0 / 3.0), "mix2exp:1,2,0.666667"),
+    ]
+
+    @pytest.mark.parametrize(("law", "spec"), SPEC_GOLDENS, ids=repr)
+    def test_spec_string_goldens(self, law, spec):
+        assert law.spec_string() == spec
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(law=LAWS)
+    def test_spec_string_round_trips(self, law):
+        s = law.spec_string()
+        assert parse_spec(s).spec_string() == s
+
+    def test_integral_number_is_int_shape(self):
+        law = parse_spec("erlang:1,2.0")
+        assert law == Erlang(1.0, 2) and type(law.shape) is int
+
+    def test_unknown_family_lists_the_families(self):
+        listed = r"unknown family 'gauss' \(expected exp, erlang, pareto or mix2exp\)"
+        with pytest.raises(SpecParseError, match=listed):
+            parse_spec("gauss:1")
+
+    @pytest.mark.parametrize(("law", "name", "bad"), BAD_FIELDS, ids=repr)
+    def test_bad_field_names_class_and_field(self, law, name, bad):
+        fields = _with_field(law, name, bad).values()
+        spec = f"{law.family}:" + ",".join(map(repr, fields))
+        with pytest.raises(SpecParseError, match=rf"{type(law).__name__}\b.*\b{name}\b"):
+            parse_spec(spec)
+
     def test_round_trips(self):
         for text, expected in [
             ("exp:1.0", Exponential(1.0)),
@@ -478,6 +533,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Erlang(1.0, 1.5)  # type: ignore[arg-type]
         with pytest.raises(ValueError):
+            Erlang(1.0, True)  # a bool is an int to isinstance
+        with pytest.raises(ValueError):
             Mix2Exp(1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             Pareto(1.0, -0.1)
+
+    @pytest.mark.parametrize(("law", "name", "bad"), BAD_FIELDS, ids=repr)
+    def test_bad_field_names_class_and_field(self, law, name, bad):
+        with pytest.raises(ValueError, match=rf"{type(law).__name__}\b.*\b{name}\b"):
+            type(law)(**_with_field(law, name, bad))
+
+    def test_law_without_family_has_no_spec(self):
+        class Bare(Distribution):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            Bare().spec_string()

@@ -147,3 +147,9 @@ class TestInvariants:
         # finite moments whose products overflow: D^2 read inf, K_F and K_S nan
         with pytest.raises(MomentUndefinedError, match="float range"):
             constants_for(Erlang(1.48028e-102, 5), Erlang(7.01289e-61, 5))
+
+    def test_generic_rejects_non_finite_constants(self):
+        # the defining formula rejects what constants_for rejects
+        t, y = Erlang(1.48028e-102, 5).moments(), Erlang(7.01289e-61, 5).moments()
+        with pytest.raises(OverflowError, match="float range"):
+            model_constants_generic(t, y)

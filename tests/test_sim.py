@@ -88,6 +88,13 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
+    @pytest.mark.parametrize("successes", [5, -1])
+    def test_rejects_successes_outside_trials(self, successes):
+        with pytest.raises(ValueError, match=r"successes must lie in \[0, trials = 3\]"):
+            wilson_interval(successes, 3)
+        with pytest.raises(ValueError, match=r"successes must lie in \[0, trials = 3\]"):
+            SimEstimate.from_counts(successes, 3, 1)
+
 
 class _Weibull(Distribution):
     """A law outside the four families, drawn by its own ``draw_kernel()``:
