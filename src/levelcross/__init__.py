@@ -36,6 +36,7 @@ from .distributions import (
 from .errors import (
     LevelCrossError,
     MomentUndefinedError,
+    PrecisionError,
     QuadratureError,
     SeriesTruncationError,
     SpecParseError,
@@ -80,6 +81,7 @@ __all__ = [
     "parse_spec",
     "LevelCrossError",
     "MomentUndefinedError",
+    "PrecisionError",
     "QuadratureError",
     "SeriesTruncationError",
     "SpecParseError",

@@ -20,13 +20,14 @@ exp(A + log Phi(-B)); the plain product overflows long before the result
 leaves [0, 1].  At drift rates so small that c^2 D^2 underflows or
 1 - c M rounds to 1, or that a closed form comes out non-finite or the
 main term outside [0, 1], the float arithmetic has broken down and the
-closed forms raise ValueError.
+closed forms raise PrecisionError, a ValueError.
 """
 
 import math
 import sys
 
 from ._record import record
+from .errors import PrecisionError
 from .moments import ModelConstants
 from .specfun import log_std_normal_cdf, std_normal_cdf
 
@@ -106,10 +107,10 @@ def _closed_forms(q: CrossingQuery, k: ModelConstants):
     cd = c * math.sqrt(k.D2)
     c2d2 = c * c * k.D2
     if c2d2 == 0.0:
-        raise ValueError(f"drift rate c = {c!r} is too small: c^2 D^2 underflows to 0")
+        raise PrecisionError(f"drift rate c = {c!r} is too small: c^2 D^2 underflows to 0")
     drift = 1.0 - c * k.M  # positive below the critical rate
     if drift == 1.0:
-        raise ValueError(f"1 - c M reads 1.0 at drift rate c = {c!r}: c M is lost to rounding")
+        raise PrecisionError(f"1 - c M reads 1.0 at drift rate c = {c!r}: c M is lost to rounding")
     expo = 2.0 * w * drift / c2d2
     ratio = w * drift / c2d2
     x1 = math.inf if q.t == math.inf else c * (q.t - q.v) / w + 1.0
@@ -139,7 +140,7 @@ def _checked(value: float, c: float, lo: float = -_LARGEST, hi: float = _LARGEST
     """value, which must lie in [lo, hi]: outside, or at nan or an
     overflow, the float arithmetic has broken down."""
     if not lo <= value <= hi:
-        raise ValueError(
+        raise PrecisionError(
             f"closed form reads {value!r} at drift rate c = {c!r}: "
             "the float arithmetic broke down"
         )

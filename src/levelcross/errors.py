@@ -13,6 +13,10 @@ class MomentUndefinedError(LevelCrossError, ValueError):
     """A required moment does not exist for the given parameters."""
 
 
+class PrecisionError(LevelCrossError, ValueError):
+    """The float arithmetic of a closed form broke down at the given inputs."""
+
+
 class QuadratureError(LevelCrossError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

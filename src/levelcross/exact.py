@@ -22,7 +22,14 @@ level the integral term nearly equals B and the difference cancels.
 With x = sin^2(theta/2) and |sin y| <= y the integral term is at most
 Env = rw e^{E0} sqrt(2/(pi a)), and the theta route is taken only when
 Env <= B/2: the value is then at least B/2, so the rounding of the
-subtraction stays within a few ulps of it.
+subtraction stays within a few ulps of it.  Where log Env <= log B - 40
+the term is below e^{-40} B ~ 4.2e-18 B, under half an ulp of B (at least
+2^{-54} B ~ 5.6e-17 B), so B minus it rounds to B: the route returns B
+and integrates nothing.  Otherwise the integral starts from panels as
+wide as sigma = 1/sqrt(a), the width of the factor
+e^{-2a sin^2(theta/2)} ~ e^{-theta^2/(2 sigma^2)}: they end at
+theta = sigma, 2, 3, 4, 6 and 8 sigma, and the last runs on to pi (one
+panel [0, pi] where 8 sigma >= pi).
 
 Every other query takes the Bessel route, a single integral of a Bessel
 I_1 kernel:
@@ -123,7 +130,8 @@ def exact_conditional(m: ExpExpModel, q: CrossingQuery) -> float:
 
 
 def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | None:
-    """The theta route's value at horizon t, or None where Env <= B/2 fails."""
+    """The theta route's value at horizon t, or None where Env <= B/2
+    fails; B itself where log Env <= log B - 40 (see the module docstring)."""
     beta = m.lam / q.c
     w = q.w
     span = q.c * (t - q.v)
@@ -138,10 +146,13 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | No
     if not (b > 0.0 and rw > 0.0):  # a NaN B, or r underflowed to 0
         return None
     log_env = e0 + math.log(rw) - 0.5 * math.log(0.5 * math.pi * a)
+    log_b = math.log(b)
     # Env <= B/2 compared in logs, where 0.5 * B underflows at the least
     # subnormal B; NaN, from an overflowed T at beta = mu, fails too
-    if not log_env + math.log(2.0) <= math.log(b):
+    if not log_env + math.log(2.0) <= log_b:
         return None
+    if log_env <= log_b - 40.0:  # the term is under half an ulp of B
+        return b
     k = math.sqrt(beta / m.mu)
     gap = (1.0 - k) ** 2
     two_a, four_k = 2.0 * a, 4.0 * k
@@ -151,9 +162,13 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | No
         sin_theta = math.sin(theta)
         return math.exp(-two_a * x) * math.sin(rw * sin_theta) * sin_theta / (gap + four_k * x)
 
-    # the factor e^{-2a sin^2(theta/2)} has fallen to e^{-32} by 8/sqrt(a)
+    # the factor e^{-2a sin^2(theta/2)} has fallen to e^{-32} by
+    # split = 8 sigma; the dyadic fractions of split are exact
     split = 8.0 / math.sqrt(a)
-    edges = (0.0, split, math.pi) if split < math.pi else (0.0, math.pi)
+    if split < math.pi:
+        edges = [split * f for f in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)] + [math.pi]
+    else:
+        edges = (0.0, math.pi)
     return b - 2.0 * beta / (math.pi * r) * math.exp(e0) * gauss_kronrod(integrand, edges, _REL_TOL)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from levelcross.approx import CrossingQuery, corrected_expansion, main_term
 from levelcross.distributions import Erlang, Exponential, Mix2Exp, Pareto
-from levelcross.errors import QuadratureError
+from levelcross.errors import LevelCrossError, PrecisionError, QuadratureError
 from levelcross.exact import ExpExpModel, exact_conditional
 from levelcross.moments import ModelConstants, constants_for
 from oracles import integral_oracle
@@ -84,6 +84,14 @@ class TestTinyDriftRates:
                 closed_form(q, EXP_PAIR)
         with pytest.raises(ValueError, match=f"c = {c!r}"):
             corrected_expansion(q, EXP_PAIR)
+
+    # c^2 D^2 underflows; 1 - c M rounds to 1; the main term leaves [0, 1]
+    @pytest.mark.parametrize("c", [1e-300, 1e-18, 1e-16])
+    def test_breakdown_is_a_precision_error(self, c):
+        with pytest.raises(PrecisionError, match=f"c = {c!r}") as caught:
+            main_term(CrossingQuery(10.0, c, 0.0), EXP_PAIR)
+        assert isinstance(caught.value, LevelCrossError)
+        assert isinstance(caught.value, ValueError)
 
     @pytest.mark.parametrize("c", [1e-18, 1e-16, 1e-150])
     def test_main_term_outside_unit_interval_raises(self, c):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levelcross import exact
+from levelcross import exact, quadrature
 from levelcross.approx import CrossingQuery
 from levelcross.distributions import Exponential
 from levelcross.errors import QuadratureError, SeriesTruncationError
@@ -221,9 +221,40 @@ def _count_bessel_calls(monkeypatch, names=("log_bessel_i1",)):
     return calls
 
 
+def _count_rules(monkeypatch):
+    """The intervals of the G7K15 rules gauss_kronrod applies from now on."""
+    rules = []
+    real = quadrature._g7k15
+
+    def counted(f, a, b):
+        rules.append((a, b))
+        return real(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_g7k15", counted)
+    return rules
+
+
+def _theta_bound(m, q, t):
+    """(B, log Env) of the module docstring at horizon t, recomputed here."""
+    beta = m.lam / q.c
+    w, span = q.w, q.c * (t - q.v)
+    r = math.sqrt(beta * m.mu)
+    a = (2.0 * span + w) * r
+    e0 = -((math.sqrt(m.mu) - math.sqrt(beta)) ** 2) * span - (m.mu - r) * w
+    b = math.exp(-max(m.mu - beta, 0.0) * w) * -math.expm1(-min(beta, m.mu) * w)
+    return b, e0 + math.log(r * w) - 0.5 * math.log(0.5 * math.pi * a)
+
+
 # the 33-point scan, at most 52 halvings on each side of the peak, then at
 # most 2 * MAX_INTERVALS - 1 rules of 15 nodes
 WORK_BOUND = 33 + 2 * 52 + 15 * (2 * MAX_INTERVALS - 1)
+
+# (u, c, v, t) of the 117 queries of the benchmark's exact_tail workload
+EXACT_TAIL = (
+    [(50.0, 0.5 + 0.025 * i, 0.0, 1000.0) for i in range(61)]
+    + [(10.0, 0.5 + 0.1 * i, 0.0, math.inf) for i in range(16)]
+    + [(10.0, 1.0, 0.5 * i, 100.0) for i in range(40)]
+)
 
 
 class TestWorkBudget:
@@ -235,6 +266,41 @@ class TestWorkBudget:
         # a few dozen rules, not thousands
         assert 0 < len(calls) <= WORK_BOUND // 20
         assert val == pytest.approx(want, rel=1e-12)
+
+    def test_theta_route_starts_from_sigma_wide_panels(self, monkeypatch):
+        # from the single panel [0, 8/sqrt(a)] these nodes took 12.4 rules
+        # each; from panels 1/sqrt(a) wide most take the 7 starting rules
+        rules = _count_rules(monkeypatch)
+        made = []
+        for c in SweepGrid(0.05, 2.0, 0.05).nodes():
+            q = CrossingQuery(10.0, c, 0.0, 100.0)
+            if exact._theta_conditional(UNIT, q, q.t) is None:
+                continue
+            rules.clear()
+            exact_conditional(UNIT, q)
+            made.append(len(rules))
+        assert len(made) == 31
+        assert sum(made) <= 8 * len(made)
+
+    def test_negligible_theta_term_makes_no_rule(self, monkeypatch):
+        rules = _count_rules(monkeypatch)
+        shortcut = 0
+        for point in EXACT_TAIL:
+            q = CrossingQuery(*point)
+            b, log_env = _theta_bound(UNIT, q, infinite_horizon_cap(q) if q.t == math.inf else q.t)
+            if log_env <= math.log(b) - 40.0:
+                rules.clear()
+                assert exact_conditional(UNIT, q) == b
+                assert rules == []
+                shortcut += 1
+        assert shortcut == 38
+
+    def test_negligible_theta_term_past_the_interval_budget(self):
+        # the theta-integrand oscillates about 1e3 times under a prefactor
+        # of e^{-1.4e6}; integrating it used up MAX_INTERVALS and raised
+        # QuadratureError, where its term cannot change a bit of B
+        q = CrossingQuery(2806.0, 0.00146, 0.0, math.inf)
+        assert exact_conditional(ExpExpModel(6.51, 70.3), q) == 1.0
 
 
 class TestRouter:
@@ -252,11 +318,29 @@ class TestRouter:
         ((200.0, 1.5, 0.0, 100.0), "0x1.7ca3038182139p-113"),
     ]
 
+    # theta-routed values, bit for bit as the route gave them from the
+    # single starting panel [0, 8/sqrt(a)] and with no early return of B
+    THETA = [
+        (UNIT, (50.0, 0.75, 0.0, 1000.0), "0x1.fffff23446805p-1"),
+        (UNIT, (50.0, 1.975, 0.0, 1000.0), "0x1.4f44bb0ae46b1p-36"),
+        (UNIT, (10.0, 1.3, 0.0, math.inf), "0x1.9753d46459b58p-4"),
+        (UNIT, (10.0, 0.05, 0.0, 100.0), "0x1.fffa0ca192a6ep-1"),
+        (UNIT, (10.0, 1.5, 0.0, 100.0), "0x1.23a2d1286688bp-5"),
+        (ExpExpModel(0.33, 6.6), (41.0, 3.0, 16.0, 23.0), "0x1.9b866d2048dc1p-834"),
+    ]
+
     @pytest.mark.parametrize("point, golden", SHORT_HORIZONS)
     def test_short_horizon_high_level_takes_bessel(self, point, golden):
         q = CrossingQuery(*point)
         assert exact._theta_conditional(UNIT, q, q.t) is None
         assert exact_conditional(UNIT, q) == float.fromhex(golden)
+
+    @pytest.mark.parametrize("m, point, golden", THETA)
+    def test_theta_route_values(self, m, point, golden):
+        q = CrossingQuery(*point)
+        t = infinite_horizon_cap(q) if q.t == math.inf else q.t
+        assert exact._theta_conditional(m, q, t) is not None
+        assert exact_conditional(m, q) == float.fromhex(golden)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -275,6 +359,27 @@ class TestRouter:
         # at (8.35, 2.82, 19.05, 2160.27), where theta was within 1e-15
         bessel = exact._bessel_conditional(UNIT, q, q.t, 1e-12)
         assert theta == pytest.approx(bessel, rel=1e-10, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u=st.floats(1.0, 60.0),
+        c=st.floats(0.3, 3.0),
+        v=st.floats(0.0, 20.0),
+        span=st.floats(0.1, 1e4),
+    )
+    def test_negligible_theta_term_returns_b(self, u, c, v, span):
+        # where log Env <= log B - 40 the term is under half an ulp of B
+        q = CrossingQuery(u, c, v, v + span)
+        b, log_env = _theta_bound(UNIT, q, q.t)
+        if not log_env <= math.log(b) - 40.0:
+            return
+
+        def no_quadrature(*args):
+            raise AssertionError("gauss_kronrod called")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "gauss_kronrod", no_quadrature)
+            assert exact_conditional(UNIT, q) == b
 
     def test_theta_route_where_its_integral_cancels(self):
         # the theta integral is tiny against the integral of its |integrand|
