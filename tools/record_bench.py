@@ -21,8 +21,9 @@ Each ``--out`` file holds, for its checkout:
 * the Tier-1 wall time and its pass/fail counts;
 * ``wc -l src/levelcross/*.py``, per file and in total.
 
-Stdlib only; it changes nothing in the checkouts apart from the trace
-files ``perfbench/run.py --trace 1`` writes under ``perfbench/traces/``.
+Stdlib only; it leaves nothing in the checkouts but bytecode caches and
+the trace files ``perfbench/run.py --trace 1`` writes under
+``perfbench/traces/``.
 """
 
 import argparse
