@@ -29,7 +29,10 @@ and integrates nothing.  Otherwise the integral starts from panels as
 wide as sigma = 1/sqrt(a), the width of the factor
 e^{-2a sin^2(theta/2)} ~ e^{-theta^2/(2 sigma^2)}: they end at
 theta = sigma, 2, 3, 4, 6 and 8 sigma, and the last runs on to pi (one
-panel [0, pi] where 8 sigma >= pi).
+panel [0, pi] where 8 sigma >= pi).  The shortcut keeps every bit of the
+value; the panels do not always: their Kronrod sums round differently
+from those over one panel [0, 8 sigma], so a value can move by an ulp
+against that split (2 of 3036 random theta-routed queries did, by one).
 
 Every other query takes the Bessel route, a single integral of a Bessel
 I_1 kernel:

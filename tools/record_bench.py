@@ -1,15 +1,17 @@
 """Record BENCH_<n>.json files: performance evidence for one or more checkouts.
 
     python3 tools/record_bench.py --root CHECKOUT --out BENCH_<n>.json
-        [--root OTHER --out BENCH_<m>.json ...] [--runs 10] [--seconds 10]
+        [--root OTHER --out BENCH_<m>.json ...] [--runs 10]
 
 For each checkout, its own ``perfbench/run.py`` runs every workload that
 its ``BENCHMARK.json`` names ``--runs`` times untraced (``--trace 0``) and
-once traced (``--trace 1``), all with the same ``--seconds``.  Run k of
-each workload visits the checkouts in the order given for even k and in
-reverse for odd k, back to back, so no side always runs first and run k of
-every checkout forms one pair.  Then each checkout's Tier-1 suite runs
-once.
+once traced (``--trace 1``), every run for the ``run_seconds`` that the
+first checkout's ``BENCHMARK.json`` sets.  Run k of each workload visits
+the checkouts in the order given for even k and in reverse for odd k,
+back to back, so no side always runs first and run k of every checkout
+forms one pair.  The traced runs and then each checkout's Tier-1 suite
+run once each, in the order given, so their timings are single readings
+taken in a fixed order; only their counters compare across checkouts.
 
 Each ``--out`` file holds, for its checkout:
 
@@ -98,15 +100,11 @@ def parse_args(argv):
     parser.add_argument("--out", action="append", required=True,
                         help="BENCH_<n>.json to write, one per --root, in the same order")
     parser.add_argument("--runs", type=int, default=10, help="untraced runs per workload (default 10)")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="perfbench/run.py --seconds of every run (default 10)")
     args = parser.parse_args(argv)
     if len(args.root) != len(args.out):
         parser.error("give one --out per --root")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
-    if not args.seconds > 0:
-        parser.error("--seconds must be > 0")
     args.root = [os.path.abspath(r) for r in args.root]
     for root in args.root:
         if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
@@ -120,14 +118,15 @@ def main(argv=None):
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
+    seconds = spec["run_seconds"]
     plain = {root: {w: [] for w in workloads} for root in args.root}
     for k in range(args.runs):
         order = args.root if k % 2 == 0 else args.root[::-1]
         for w in workloads:
             for root in order:
-                plain[root][w].append(bench(root, w, args.seconds, 0))
+                plain[root][w].append(bench(root, w, seconds, 0))
                 print(f"run {k + 1}/{args.runs} {w} {root}", file=sys.stderr)
-    traced = {root: {w: bench(root, w, args.seconds, 1) for w in workloads} for root in args.root}
+    traced = {root: {w: bench(root, w, seconds, 1) for w in workloads} for root in args.root}
     suites = {root: tier1(root) for root in args.root}
 
     commits = {root: _git(root, "rev-parse", "HEAD") for root in args.root}
@@ -141,8 +140,10 @@ def main(argv=None):
             "cpus_available": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "settings": {"runs": args.runs, "seconds": args.seconds,
-                         "alternated_with": [commits[r] for r in args.root if r != root]},
+            "settings": {"runs": args.runs, "seconds": seconds,
+                         "alternated_with": [commits[r] for r in args.root if r != root],
+                         "root_position": args.root.index(root) + 1,
+                         "traced_and_tier1": "once per checkout, in --root order"},
             "workloads": {
                 w: {
                     "correct": all(r["correct"] for r in plain[root][w] + [traced[root][w]]),
