@@ -2,9 +2,9 @@
 
 Four families are supported: Exponential, mixture of two Exponentials,
 Erlang, and Pareto (in the shifted form with density a*b/(x*b+1)^(a+1),
-which has support on all of x > 0).  Each provides the density, the
-distribution function, the quantile, closed-form central moments, and
-sampling from a caller-supplied uniform stream.  A law's spec string is
+which has support on all of x > 0).  Each provides the distribution
+function, the quantile, closed-form central moments, and sampling from a
+caller-supplied uniform stream.  A law's spec string is
 ``<family>:<fields in declaration order>``, e.g. ``erlang:1.2,2``: each
 family class names its ``family``, and one ``spec_string``, one
 ``parse_spec`` table and one finite-and-positive check serve all four.
@@ -59,9 +59,6 @@ class Distribution:
         for name, value in vars(self).items():
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{type(self).__name__} {name} must be finite and > 0")
-
-    def pdf(self, x: float) -> float:
-        raise NotImplementedError
 
     def cdf(self, x: float) -> float:
         raise NotImplementedError
@@ -118,11 +115,6 @@ class Exponential(Distribution):
     family = "exp"
     rate: float
 
-    def pdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return self.rate * math.exp(-self.rate * x)
-
     def cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
@@ -155,13 +147,6 @@ class Mix2Exp(Distribution):
     @property
     def q(self) -> float:
         return 1.0 - self.p
-
-    def pdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return self.rate1 * self.p * math.exp(-self.rate1 * x) + self.rate2 * self.q * math.exp(
-            -self.rate2 * x
-        )
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:
@@ -232,14 +217,6 @@ class Erlang(Distribution):
             raise ValueError(f"Erlang shape must be an integer in [1, {ERLANG_MAX_SHAPE}]")
         super().__post_init__()
 
-    def pdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        k, r = self.shape, self.rate
-        return math.exp(
-            k * math.log(r) + (k - 1) * math.log(x) - math.lgamma(k) - r * x
-        )
-
     def cdf(self, x: float) -> float:
         # 1 - exp(-rx) * sum_{j<k} (rx)^j / j!  -- exact for integer shape
         if x <= 0.0:
@@ -267,12 +244,6 @@ class Pareto(Distribution):
     family = "pareto"
     shape: float
     scale: float
-
-    def pdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        a, b = self.shape, self.scale
-        return a * b / (x * b + 1.0) ** (a + 1.0)
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:

@@ -71,10 +71,9 @@ __all__ = [
     "infinite_horizon_cap",
 ]
 
-# the quadratures' relative error estimates: of the conditional value and
-# the series' Simpson rule, and of the unconditional value
+# the quadratures' relative error estimate: of the conditional and the
+# unconditional value, and of the series' Simpson rule
 _REL_TOL = 1e-10
-_UNCONDITIONAL_REL_TOL = 1e-8
 
 
 @record
@@ -266,8 +265,8 @@ def unconditional_exp_first_renewal(m: ExpExpModel, u: float, c: float, t: float
     with w(0) = lam e^{-mu u}, the rate of a crossing at the first jump.
     The value is the single integral of w over [0, t], formed in log space
     on :func:`integrate_log_scaled` with an error estimate of at most
-    _UNCONDITIONAL_REL_TOL times the value, and a horizon too long to
-    resolve raises QuadratureError as in :func:`exact_conditional`.  At
+    _REL_TOL times the value, as :func:`exact_conditional`'s is, and a
+    horizon too long to resolve raises QuadratureError as there.  At
     t = inf it is the ruin probability (lam/(c mu)) e^{-(mu - lam/c) u}
     above the critical rate lam/mu, and 1 at or below it; at t <= 0 it is
     0.  ``u`` and ``c`` are checked as :class:`CrossingQuery` checks them,
@@ -296,4 +295,4 @@ def unconditional_exp_first_renewal(m: ExpExpModel, u: float, c: float, t: float
         top = max(a, b)
         return log_lam - m.lam * s - m.mu * level + top + math.log1p(math.exp(-abs(a - b)))
 
-    return _probability(integrate_log_scaled(log_density, 0.0, t, _UNCONDITIONAL_REL_TOL))
+    return _probability(integrate_log_scaled(log_density, 0.0, t, _REL_TOL))

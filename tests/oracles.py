@@ -6,7 +6,9 @@ Simpson.  ``model_constants_lemma`` evaluates independent pair-specific
 closed forms of the model constants, to cross-check
 :func:`levelcross.moments.model_constants_generic`.  ``reference_inverse``
 is the per-draw quantile code the draw kernels replaced, to pin their
-bits.  None is part of the package: only the tests call them.
+bits.  ``critical_tail`` is the leading long-horizon shortfall of both
+exact values at the critical rate.  None is part of the package: only the
+tests call them.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 from levelcross.approx import CrossingQuery
 from levelcross.distributions import Distribution, Erlang, Exponential, Mix2Exp, Pareto
 from levelcross.errors import LevelCrossError, MomentUndefinedError, QuadratureError
+from levelcross.exact import ExpExpModel
 from levelcross.moments import ModelConstants
 from levelcross.quadrature import adaptive_simpson
 
@@ -291,3 +294,39 @@ def model_constants_lemma(t_dist: Distribution, y_dist: Distribution) -> ModelCo
     raise UnsupportedPairError(
         f"no pair closed form for T={type(t_dist).__name__}, Y={type(y_dist).__name__}"
     )
+
+
+def critical_tail(m: ExpExpModel, q: CrossingQuery) -> tuple[float, float]:
+    """Leading terms, as the horizon grows, of ``(B - P{v < tau <= t | v},
+    1 - psi(u, ct))`` for the exponential pair at c = c* = lam/mu: the
+    shortfalls of the conditional value from its t = inf value B and of the
+    unconditional value from 1.
+
+    Both come from the theta integrals (the ``exact`` module docstring for
+    the conditional value; Asmussen & Albrecher, ch. V, for the
+    unconditional one).  With beta = lam/c = mu they have r = mu, k = 1 and
+    E0 = 0, so, with x = sin^2(theta/2), level L and horizon T,
+
+        B - P     = (1/pi) int_0^pi e^{-2ax} sin(mu L sin theta)
+                                     2 sin theta / (4x) dtheta,
+        1 - psi   = (1/pi) int_0^pi e^{-2ax} sin(mu L sin theta + theta)
+                                     2 sin theta / (4x) dtheta,
+
+    a = (2T + L) mu.  As T grows, e^{-2ax} ~ e^{-a theta^2 / 2} confines
+    the integral to theta of order 1/sqrt(a), where 4x ~ theta^2,
+    sin theta ~ theta and the sines are (mu L) theta and (1 + mu L) theta.
+    The integrands tend to 2 mu L e^{-a theta^2/2} and
+    2 (1 + mu L) e^{-a theta^2/2}, whose integrals over theta > 0, times
+    1/pi, are mu L sqrt(2/(pi a)) and (1 + mu L) sqrt(2/(pi a)); with
+    a ~ 2 mu T:
+
+        B - P   ~ w sqrt(mu/(pi T)),          L = w = u + cv, T = c(t - v);
+        1 - psi ~ (1 + mu u)/sqrt(pi mu T),   L = u,          T = ct.
+
+    The terms dropped are relatively O((1 + mu L)^2 / T): the cubes of the
+    sines' arguments, the rest of each expansion, and L against 2T in a.
+    """
+    mu = m.mu
+    conditional = q.w * math.sqrt(mu / (math.pi * q.c * (q.t - q.v)))
+    unconditional = (1.0 + mu * q.u) / math.sqrt(math.pi * mu * q.c * q.t)
+    return conditional, unconditional

@@ -247,6 +247,17 @@ class TestCorrectedExpansion:
             corr = corrected_expansion(q, EXP_PAIR).corrected
             assert corr <= exact_conditional(model, q) + 2e-3
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(t_dist=LAWS, y_dist=LAWS)
+    def test_certain_crossing_at_the_critical_rate(self, t_dist, y_dist):
+        # at c* the increments have zero drift, so at t = inf the level is
+        # crossed for sure; at u = 800 E[Y] the main term reads 1, and the
+        # corrections, which do not vanish there, stand 1 : 3
+        k = constants_for(t_dist, y_dist)
+        res = corrected_expansion(CrossingQuery(800.0 * y_dist.moments().mean, k.c_star), k)
+        assert 1.0 - res.main <= 1e-12
+        assert abs(res.correction_s / res.correction_f - 3.0) <= 1e-12
+
     def test_negligible_far_above_critical_rate(self):
         # heavy-tail pair far above c*: crossing within the horizon is rare
         k = constants_for(Pareto(4.0, 0.4), Pareto(4.0, 0.4))

@@ -22,6 +22,7 @@ from levelcross.exact import (
 )
 from levelcross.sim import LcgStream, simulate_conditional
 from levelcross.sweep import SweepGrid
+from oracles import critical_tail
 
 UNIT = ExpExpModel(1.0, 1.0)
 
@@ -481,6 +482,28 @@ class TestSeriesOracle:
             series_oracle(UNIT, CrossingQuery(10.0, 1.0, 0.0, 50.0), nmax=0)
 
 
+class TestCriticalTail:
+    """At c* both exact values approach their t = inf values like
+    1/sqrt(T): against the leading terms of ``critical_tail`` the relative
+    deviation is at most (1 + mu w)^2/T, past 1e-10 of the values' own
+    error (0.19 and 0.24 of that bound at most, at the pair (2, 0.5))."""
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
+    @pytest.mark.parametrize("u", [10.0, 40.0])
+    def test_shortfalls_follow_the_leading_terms(self, lam, mu, u):
+        m, c = ExpExpModel(lam, mu), lam / mu
+        first = 1e3 * u * u  # 1e3 w^2, at v = 0
+        for span in [first * 10.0**k for k in range(5) if first * 10.0**k < 1e8] + [1e8]:
+            q = CrossingQuery(u, c, 0.0, span / c)
+            conditional, unconditional = critical_tail(m, q)
+            slack = (1.0 + mu * u) ** 2 / span
+            b = -math.expm1(-mu * u)
+            got = b - exact_conditional(m, q)
+            assert abs(got - conditional) <= conditional * slack + 1e-10, span
+            got = 1.0 - unconditional_exp_first_renewal(m, u, c, q.t)
+            assert abs(got - unconditional) <= unconditional * slack + 1e-10, span
+
+
 class TestAgainstSimulation:
     def test_ci_covers_exact(self):
         q = CrossingQuery(10.0, 1.0, 0.0, 100.0)
@@ -583,7 +606,7 @@ class TestUnconditional:
         prev = 0.0
         for t in (10.0, 100.0, 1000.0, 1.0e4):
             val = unconditional_exp_first_renewal(UNIT, 10.0, 1.3, t)
-            # each value carries up to 1e-8 of its integral
+            # each value carries up to 1e-10 of its integral
             assert prev - 1e-10 <= val <= psi * (1.0 + 1e-12)
             prev = val
         assert val == pytest.approx(psi, rel=1e-12)
@@ -597,6 +620,12 @@ class TestUnconditional:
 
     def test_stays_a_probability_below_the_critical_rate(self):
         val = unconditional_exp_first_renewal(UNIT, 10.0, 0.8, 7000.0)
+        assert 1.0 - 1e-12 <= val <= 1.0 + 1e-12
+
+    def test_near_one_at_a_low_drift_rate(self):
+        # the value's error must stay inside the 1e-12 that _probability
+        # allows above 1: an estimate held to 1e-8 reached exp(3.35e-11)
+        val = unconditional_exp_first_renewal(ExpExpModel(22.25, 70.24), 0.144, 0.00258, 37.6)
         assert 1.0 - 1e-12 <= val <= 1.0 + 1e-12
 
     def test_bessel_work(self, monkeypatch):

@@ -18,8 +18,11 @@ Each ``--out`` file holds, for its checkout:
 * the commit (and whether the tree differs from it), host, CPU count and
   Python version, and the settings and checkouts of the recording;
 * per workload, every end-to-end metric's value in each run, in run
-  order, with their median and interquartile range, whether every run
-  read ``correct: true``, and the traced run's per-layer metrics;
+  order, with their median and interquartile range and, against each
+  other checkout, how many of the paired runs it won (strictly better in
+  the metric's ``better`` direction; a tie counts for neither side);
+  whether every run read ``correct: true``; and the traced run's
+  per-layer metrics;
 * the Tier-1 wall time and its pass/fail counts;
 * ``wc -l src/levelcross/*.py``, per file and in total.
 
@@ -64,6 +67,13 @@ def summary(values):
         q1 = q3 = values[0]
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3,
             "iqr": q3 - q1}
+
+
+def wins(mine, theirs, better):
+    """How many pairs (mine[k], theirs[k]) ``mine`` wins: strictly lower
+    values for ``better == "lower"``, strictly higher for ``"higher"``."""
+    sign = {"lower": -1, "higher": 1}[better]
+    return sum(sign * (a - b) > 0 for a, b in zip(mine, theirs))
 
 
 def pytest_counts(line):
@@ -117,7 +127,7 @@ def main(argv=None):
     with open(os.path.join(args.root[0], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
-    metrics = [m["name"] for m in spec["end_to_end"]]
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     plain = {root: {w: [] for w in workloads} for root in args.root}
     for k in range(args.runs):
@@ -130,6 +140,16 @@ def main(argv=None):
     suites = {root: tier1(root) for root in args.root}
 
     commits = {root: _git(root, "rev-parse", "HEAD") for root in args.root}
+    values = {root: {w: {m: [r["metrics"][m]["value"] for r in plain[root][w]] for m in metrics}
+                     for w in workloads} for root in args.root}
+
+    def end_to_end(root, w, m):
+        mine = values[root][w][m]
+        return {**summary(mine), "wins": [
+            {"root_position": args.root.index(other) + 1, "commit": commits[other],
+             "won": wins(mine, values[other][w][m], metrics[m]), "of": args.runs}
+            for other in args.root if other != root]}
+
     for root, out in zip(args.root, args.out):
         record = {
             "commit": commits[root],
@@ -147,8 +167,7 @@ def main(argv=None):
             "workloads": {
                 w: {
                     "correct": all(r["correct"] for r in plain[root][w] + [traced[root][w]]),
-                    "end_to_end": {m: summary([r["metrics"][m]["value"] for r in plain[root][w]])
-                                   for m in metrics},
+                    "end_to_end": {m: end_to_end(root, w, m) for m in metrics},
                     "traced": {name: m["value"] for name, m in traced[root][w]["metrics"].items()},
                 }
                 for w in workloads
