@@ -20,12 +20,17 @@ otherwise is the value at t = inf.  It needs only elementary functions
 and resolves every long horizon, but at short horizons against a high
 level the integral term nearly equals B and the difference cancels.
 With x = sin^2(theta/2) and |sin y| <= y the integral term is at most
-Env = rw e^{E0} sqrt(2/(pi a)), and the theta route is taken only when
-Env <= B/2: the value is then at least B/2, so the rounding of the
-subtraction stays within a few ulps of it.  Where log Env <= log B - 40
-the term is below e^{-40} B ~ 4.2e-18 B, under half an ulp of B (at least
-2^{-54} B ~ 5.6e-17 B), so B minus it rounds to B: the route returns B
-and integrates nothing.  Otherwise the integral starts from panels as
+Env = rw e^{E0} sqrt(2/(pi a)), and the theta route is taken only where
+room = B/Env - 1 >= 2^-10, compared in logs, which a NaN fails.  The
+value is then at least B - Env = room Env, and the quadrature runs at
+the tolerance _REL_TOL min(1, room): its error estimate, at most that
+times the summed |K15| of its panels, which Env bounds, stays within
+_REL_TOL of the value.  The rounding of B minus the term stays below
+about 2.2e-16 (1 + 1/room) of the value, at most 2.3e-13.  Where
+Env <= B/2 the tolerance is _REL_TOL itself.  Where log Env <= log B - 40
+the term is below e^{-40} B ~ 4.2e-18 B, under half an ulp of B (at
+least 2^{-54} B ~ 5.6e-17 B), so B minus it rounds to B: the route
+returns B and integrates nothing.  Otherwise the integral starts from panels as
 wide as sigma = 1/sqrt(a), the width of the factor
 e^{-2a sin^2(theta/2)} ~ e^{-theta^2/(2 sigma^2)}: they end at
 theta = sigma, 2, 3, 4, 6 and 8 sigma, and the last runs on to pi (one
@@ -116,15 +121,15 @@ def exact_conditional(m: ExpExpModel, q: CrossingQuery) -> float:
     """Exact P{v < tau <= t | first renewal at v} for the exponential pair.
 
     On both routes t = inf stands for the horizon infinite_horizon_cap(q).
-    A query whose theta-integral term is bounded by Env <= B/2 (see the
-    module docstring) takes the theta route, where the quadrature's error
-    estimate is at most _REL_TOL times the integral of |integrand| (see
+    A query with room = B/Env - 1 >= 2^-10 (see the module docstring)
+    takes the theta route, whose error estimate is at most
+    _REL_TOL min(1, room) times the integral of |integrand| (see
     :func:`gauss_kronrod`), which Env bounds in turn; since
-    Env <= B - Env <= the value, that is relative to the value.  Every
-    other query takes the Bessel route, whose error estimate is at most
-    _REL_TOL times the Bessel integral.  There a horizon too long for the
-    integral to resolve raises QuadratureError (see
-    :func:`integrate_log_scaled` and ``_probability``).
+    room Env = B - Env <= the value, that is _REL_TOL relative to the
+    value.  Every other query takes the Bessel route, whose error
+    estimate is at most _REL_TOL times the Bessel integral.  There a
+    horizon too long for the integral to resolve raises QuadratureError
+    (see :func:`integrate_log_scaled` and ``_probability``).
     """
     t = infinite_horizon_cap(q) if q.t == math.inf else q.t
     value = _theta_conditional(m, q, t)
@@ -132,8 +137,9 @@ def exact_conditional(m: ExpExpModel, q: CrossingQuery) -> float:
 
 
 def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | None:
-    """The theta route's value at horizon t, or None where Env <= B/2
-    fails; B itself where log Env <= log B - 40 (see the module docstring)."""
+    """The theta route's value at horizon t, or None where
+    room = B/Env - 1 >= 2^-10 fails; B itself where log Env <= log B - 40
+    (see the module docstring)."""
     beta = m.lam / q.c
     w = q.w
     span = q.c * (t - q.v)
@@ -149,12 +155,15 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | No
         return None
     log_env = e0 + math.log(rw) - 0.5 * math.log(0.5 * math.pi * a)
     log_b = math.log(b)
-    # Env <= B/2 compared in logs, where 0.5 * B underflows at the least
-    # subnormal B; NaN, from an overflowed T at beta = mu, fails too
-    if not log_env + math.log(2.0) <= log_b:
+    # room = B/Env - 1 >= 2^-10 compared in logs, where B/Env overflows or
+    # underflows; NaN, from an overflowed T at beta = mu, fails too
+    d = log_b - log_env
+    if not d >= math.log1p(2.0**-10):
         return None
     if log_env <= log_b - 40.0:  # the term is under half an ulp of B
         return b
+    # _REL_TOL min(1, room): expm1(d) overflows past d = 709
+    rel_tol = _REL_TOL * math.expm1(d) if d < math.log(2.0) else _REL_TOL
     k = math.sqrt(beta / m.mu)
     gap = (1.0 - k) ** 2
     two_a, four_k = 2.0 * a, 4.0 * k
@@ -171,7 +180,7 @@ def _theta_conditional(m: ExpExpModel, q: CrossingQuery, t: float) -> float | No
         edges = [split * f for f in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)] + [math.pi]
     else:
         edges = (0.0, math.pi)
-    return b - 2.0 * beta / (math.pi * r) * math.exp(e0) * gauss_kronrod(integrand, edges, _REL_TOL)
+    return b - 2.0 * beta / (math.pi * r) * math.exp(e0) * gauss_kronrod(integrand, edges, rel_tol)
 
 
 def _bessel_conditional(m: ExpExpModel, q: CrossingQuery, t: float, rel_tol: float) -> float:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levelcross.approx import CrossingQuery, corrected_expansion, main_term
@@ -257,6 +257,22 @@ class TestCorrectedExpansion:
         res = corrected_expansion(CrossingQuery(800.0 * y_dist.moments().mean, k.c_star), k)
         assert 1.0 - res.main <= 1e-12
         assert abs(res.correction_s / res.correction_f - 3.0) <= 1e-12
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(t_dist=LAWS, mu=st.floats(0.2, 5.0), frac=st.floats(0.01, 1.0))
+    @example(t_dist=Exponential(1.0), mu=1.0, frac=1.0)
+    def test_critical_rate_bias_with_exponential_jumps(self, t_dist, mu, frac):
+        # with Exp(mu) jumps, at c = frac c* <= c* and t = inf, where the
+        # level is crossed for sure, the corrected expansion falls short of
+        # 1 by 2 frac/(mu u), 2/(mu u) at c*, whatever the gap law; at
+        # Pareto gaps of shape near 3 the weighted corrections reach 1e13
+        # and cancel, so their sum rounds by a few ulps of that
+        k = constants_for(t_dist, Exponential(mu))
+        q = CrossingQuery(800.0 / mu, frac * k.c_star)
+        res = corrected_expansion(q, k)
+        terms = abs(k.kf_coeff / q.c * res.correction_f) + abs(k.ks_coeff / q.c * res.correction_s)
+        bias = mu * q.u * (1.0 - res.corrected)
+        assert abs(bias - 2.0 * frac) <= 1e-9 + 2.0**-48 * mu * q.u * terms
 
     def test_negligible_far_above_critical_rate(self):
         # heavy-tail pair far above c*: crossing within the horizon is rare

@@ -4,7 +4,7 @@ the unconditional variant with an exponential first interval."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -246,6 +246,34 @@ def _theta_bound(m, q, t):
     return b, e0 + math.log(r * w) - 0.5 * math.log(0.5 * math.pi * a)
 
 
+@st.composite
+def _band_points(draw):
+    """(u, c, v, t) on the unit pair with B/2 < Env < B (1 - 2^-10).
+
+    log(Env/B) falls as t - v grows, so bisection in log(t - v) over
+    [-10, 15] finds where it crosses each end of the band; t - v is
+    drawn log-uniformly between them."""
+    u = draw(st.floats(1.0, 60.0))
+    c = draw(st.floats(0.3, 3.0))
+    v = draw(st.floats(0.0, 20.0))
+    frac = draw(st.floats(0.001, 0.999))
+
+    def log_span_at(level):
+        lo, hi = -10.0, 15.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            b, log_env = _theta_bound(UNIT, CrossingQuery(u, c, v, v + math.exp(mid)), v + math.exp(mid))
+            if log_env - math.log(b) > level:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    near, far = log_span_at(math.log1p(-(2.0**-10))), log_span_at(-math.log(2.0))
+    assume(near < far)
+    return (u, c, v, v + math.exp(near + frac * (far - near)))
+
+
 # the 33-point scan, at most 52 halvings on each side of the peak, then at
 # most 2 * MAX_INTERVALS - 1 rules of 15 nodes
 WORK_BOUND = 33 + 2 * 52 + 15 * (2 * MAX_INTERVALS - 1)
@@ -259,18 +287,29 @@ EXACT_TAIL = (
 
 
 class TestWorkBudget:
-    # the Bessel-routed goldens, which made 212 and 152 log_bessel_i1 calls
-    @pytest.mark.parametrize("point, want", TestGoldens.CONDITIONAL[::2])
+    # Bessel-routed exact_tail queries, which make 212 and 182
+    # log_bessel_i1 calls.  P{v < tau <= t} by mpmath at 40 digits: the
+    # Bessel integral (mpmath.besseli, mpmath.quad over pieces at
+    # (t - v) 2^-k, k = 12..0) and the theta-integral (mpmath.quad over
+    # pieces at 1, 2, 4, ..., 32 sigma and pi) agree to 40 digits
+    @pytest.mark.parametrize(
+        "point, want",
+        [
+            ((50.0, 0.95, 0.0, 1000.0), 0.6513914599682092772588),
+            ((10.0, 1.0, 12.0, 100.0), 0.1176054956120486028758),
+        ],
+    )
     def test_bessel_route_finishes_far_inside_the_budget(self, monkeypatch, point, want):
         calls = _count_bessel_calls(monkeypatch)
         val = exact_conditional(UNIT, CrossingQuery(*point))
         # a few dozen rules, not thousands
         assert 0 < len(calls) <= WORK_BOUND // 20
-        assert val == pytest.approx(want, rel=1e-12)
+        assert val == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_theta_route_starts_from_sigma_wide_panels(self, monkeypatch):
-        # from the single panel [0, 8/sqrt(a)] these nodes took 12.4 rules
-        # each; from panels 1/sqrt(a) wide most take the 7 starting rules
+        # from the single panel [0, 8/sqrt(a)] the 31 nodes with
+        # Env <= B/2 took 12.4 rules each; from panels 1/sqrt(a) wide most
+        # take the 7 starting rules, and all 40 nodes take the route
         rules = _count_rules(monkeypatch)
         made = []
         for c in SweepGrid(0.05, 2.0, 0.05).nodes():
@@ -280,7 +319,7 @@ class TestWorkBudget:
             rules.clear()
             exact_conditional(UNIT, q)
             made.append(len(rules))
-        assert len(made) == 31
+        assert len(made) == 40
         assert sum(made) <= 8 * len(made)
 
     def test_negligible_theta_term_makes_no_rule(self, monkeypatch):
@@ -330,11 +369,72 @@ class TestRouter:
         (ExpExpModel(0.33, 6.6), (41.0, 3.0, 16.0, 23.0), "0x1.9b866d2048dc1p-834"),
     ]
 
+    # theta-routed values with B/2 < Env < B, bit for bit as the route
+    # gives them at the tolerance _REL_TOL * room; the Bessel route gave
+    # them before, 2.3e-16 and 2.9e-15 away, and mpmath puts these
+    # 1.1e-16 and 1.3e-16 off
+    BAND = [
+        ((10.0, 1.0, 0.0, 100.0), "0x1.f60255074b52cp-2"),
+        ((50.0, 1.0, 0.0, 1000.0), "0x1.13eab33f5334ep-2"),
+    ]
+
     @pytest.mark.parametrize("point, golden", SHORT_HORIZONS)
     def test_short_horizon_high_level_takes_bessel(self, point, golden):
         q = CrossingQuery(*point)
         assert exact._theta_conditional(UNIT, q, q.t) is None
         assert exact_conditional(UNIT, q) == float.fromhex(golden)
+
+    @pytest.mark.parametrize("point, golden", BAND)
+    def test_band_values(self, point, golden):
+        q = CrossingQuery(*point)
+        b, log_env = _theta_bound(UNIT, q, q.t)
+        assert math.log(b / 2.0) < log_env
+        assert exact._theta_conditional(UNIT, q, q.t) is not None
+        assert exact_conditional(UNIT, q) == float.fromhex(golden)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(point=_band_points())
+    @example(point=(10.0, 1.0, 7.5, 100.0))  # room 0.019, exact_tail's least
+    def test_band_matches_bessel_route(self, point):
+        # B/2 < Env < B (1 - 2^-10), where the tolerance is _REL_TOL * room
+        q = CrossingQuery(*point)
+        b, log_env = _theta_bound(UNIT, q, q.t)
+        assert math.log(b / 2.0) < log_env < math.log(b) + math.log1p(-(2.0**-10))
+        theta = exact._theta_conditional(UNIT, q, q.t)
+        assert theta is not None
+        bessel = exact._bessel_conditional(UNIT, q, q.t, 1e-12)
+        assert theta == pytest.approx(bessel, rel=1e-10, abs=0)
+
+    def test_tolerance_scales_with_room(self, monkeypatch):
+        # _REL_TOL * min(1, room), room = B/Env - 1, on every exact_tail
+        # query the theta route integrates
+        tols = []
+        real = exact.gauss_kronrod
+
+        def recorded(f, edges, rel_tol):
+            tols.append(rel_tol)
+            return real(f, edges, rel_tol)
+
+        monkeypatch.setattr(exact, "gauss_kronrod", recorded)
+        scaled = 0
+        for point in EXACT_TAIL:
+            q = CrossingQuery(*point)
+            t = infinite_horizon_cap(q) if q.t == math.inf else q.t
+            tols.clear()
+            if exact._theta_conditional(UNIT, q, t) is None or not tols:
+                continue
+            b, log_env = _theta_bound(UNIT, q, t)
+            room = b / math.exp(log_env) - 1.0
+            assert tols == [pytest.approx(1e-10 * min(1.0, room), rel=1e-12)], point
+            scaled += room < 1.0
+        assert scaled == 18
+
+    def test_too_little_room_takes_bessel(self):
+        # Env/B = 1.011 > 1
+        q = CrossingQuery(10.0, 1.0, 8.0, 100.0)
+        b, log_env = _theta_bound(UNIT, q, q.t)
+        assert log_env > math.log(b)
+        assert exact._theta_conditional(UNIT, q, q.t) is None
 
     @pytest.mark.parametrize("m, point, golden", THETA)
     def test_theta_route_values(self, m, point, golden):
@@ -391,17 +491,12 @@ class TestRouter:
         assert theta == pytest.approx(exact._bessel_conditional(m, q, q.t, 1e-12), rel=1e-10, abs=0)
 
     def test_figure_1_routes(self, monkeypatch):
-        # the 40 figure-1 nodes: only those near c* = 1 integrate Bessel
-        # kernels, the rest take the theta route and call no log_bessel_i1
+        # the 40 figure-1 nodes all take the theta route and call no
+        # log_bessel_i1; those with 0.75 <= c <= 1.15 have Env > B/2
         calls = _count_bessel_calls(monkeypatch)
-        bessel_nodes = []
         for c in SweepGrid(0.05, 2.0, 0.05).nodes():
-            calls.clear()
             exact_conditional(UNIT, CrossingQuery(10.0, c, 0.0, 100.0))
-            if calls:
-                bessel_nodes.append(c)
-        assert len(bessel_nodes) <= 40 - 31
-        assert all(0.75 <= c <= 1.15 for c in bessel_nodes), bessel_nodes
+            assert calls == [], c
 
     def test_benchmark_tracer_query_takes_bessel(self, monkeypatch):
         # perfbench/bench_tests.py::test_trace_counts_layers_and_items
