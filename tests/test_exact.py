@@ -262,7 +262,8 @@ def _band_points(draw):
         lo, hi = -10.0, 15.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            b, log_env = _theta_bound(UNIT, CrossingQuery(u, c, v, v + math.exp(mid)), v + math.exp(mid))
+            q = CrossingQuery(u, c, v, v + math.exp(mid))
+            b, log_env = _theta_bound(UNIT, q, q.t)
             if log_env - math.log(b) > level:
                 lo = mid
             else:
@@ -347,8 +348,9 @@ class TestRouter:
     # Short horizons against a high level, where the theta-integral term
     # nearly equals B: a float64 theta route returned silent wrong values
     # here (4e4 relative error at (50, 1, 0, 0.1), and -2.2e-16 for
-    # 1.2e-84 at (200, 1, 0, 0.1)) or raised.  The Env <= B/2 rule sends
-    # them to the Bessel route, which returns these values bit for bit.
+    # 1.2e-84 at (200, 1, 0, 0.1)) or raised.  The rule B/Env - 1 >= 2^-10
+    # sends them to the Bessel route, which returns these values bit for
+    # bit.
     SHORT_HORIZONS = [
         ((50.0, 1.0, 0.0, 0.1), "0x1.9ca4bab16b2fdp-69"),
         ((50.0, 1.0, 0.0, 10.0), "0x1.b6dd11773f34ap-34"),
@@ -374,22 +376,14 @@ class TestRouter:
     # them before, 2.3e-16 and 2.9e-15 away, and mpmath puts these
     # 1.1e-16 and 1.3e-16 off
     BAND = [
-        ((10.0, 1.0, 0.0, 100.0), "0x1.f60255074b52cp-2"),
-        ((50.0, 1.0, 0.0, 1000.0), "0x1.13eab33f5334ep-2"),
+        (UNIT, (10.0, 1.0, 0.0, 100.0), "0x1.f60255074b52cp-2"),
+        (UNIT, (50.0, 1.0, 0.0, 1000.0), "0x1.13eab33f5334ep-2"),
     ]
 
     @pytest.mark.parametrize("point, golden", SHORT_HORIZONS)
     def test_short_horizon_high_level_takes_bessel(self, point, golden):
         q = CrossingQuery(*point)
         assert exact._theta_conditional(UNIT, q, q.t) is None
-        assert exact_conditional(UNIT, q) == float.fromhex(golden)
-
-    @pytest.mark.parametrize("point, golden", BAND)
-    def test_band_values(self, point, golden):
-        q = CrossingQuery(*point)
-        b, log_env = _theta_bound(UNIT, q, q.t)
-        assert math.log(b / 2.0) < log_env
-        assert exact._theta_conditional(UNIT, q, q.t) is not None
         assert exact_conditional(UNIT, q) == float.fromhex(golden)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -436,7 +430,7 @@ class TestRouter:
         assert log_env > math.log(b)
         assert exact._theta_conditional(UNIT, q, q.t) is None
 
-    @pytest.mark.parametrize("m, point, golden", THETA)
+    @pytest.mark.parametrize("m, point, golden", THETA + BAND)
     def test_theta_route_values(self, m, point, golden):
         q = CrossingQuery(*point)
         t = infinite_horizon_cap(q) if q.t == math.inf else q.t
